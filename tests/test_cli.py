@@ -243,3 +243,35 @@ def test_play_eof_aborts():
     )
     assert proc.returncode == 2
     assert "end of input; aborting game" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "golden,args,stdin,code",
+    [
+        (
+            "play_par_ch_pomset_strong_spoiler.txt",
+            ["--rel", "pomset", "--mode", "strong", "--as", "spoiler", fx("par.pes"), fx("ch.pes")],
+            "banana\n99\n2\n",
+            0,
+        ),
+        (
+            "play_par_ch_pomset_strong_duplicator.txt",
+            ["--rel", "pomset", "--mode", "strong", "--as", "duplicator", fx("par.pes"), fx("ch.pes")],
+            "",
+            0,
+        ),
+        (
+            "play_choice3_chain_hhp_strong_duplicator.txt",
+            [
+                "--rel", "hhp", "--mode", "strong", "--as", "duplicator",
+                fx("choice3.pes"), fx("chain.pes"),
+            ],
+            "0\n" * 5,
+            0,
+        ),
+    ],
+)
+def test_play_matches_golden(golden, args, stdin, code):
+    proc = run_play(args, stdin)
+    assert proc.returncode == code
+    assert proc.stdout == (GOLDEN_DIR / golden).read_text()
