@@ -8,7 +8,6 @@ relation computation and by solving Spoiler/Duplicator games.
 from .errors import (
     ArenaCycleError,
     CapExceededError,
-    ExtensionError,
     IllegalMoveError,
     MalformedWitnessError,
     ParseError,
@@ -37,13 +36,11 @@ from .pes import (
     Configuration,
     EventStructure,
     Label,
-    RelationTables,
     TerminationPolicy,
-    Transition,
     SILENT_LABEL,
 )
 from .pesfile import PesDocument, format_document, parse_document, parse_pes
-from .pomsets import Matching, Pomset, enumerate_matchings, pomsets_isomorphic
+from .pomsets import Matching, enumerate_matchings
 
 __version__ = "0.1.0"
 
@@ -57,7 +54,6 @@ __all__ = [
     "Challenge",
     "Configuration",
     "EventStructure",
-    "ExtensionError",
     "Flavor",
     "GamePosition",
     "GameVerdict",
@@ -70,15 +66,12 @@ __all__ = [
     "ParseError",
     "PesBisimError",
     "PesDocument",
-    "Pomset",
     "Relation",
-    "RelationTables",
     "Role",
     "SILENT_LABEL",
     "Solution",
     "TerminationPolicy",
     "Transcript",
-    "Transition",
     "ValidationError",
     "Verdict",
     "build_arena",
@@ -89,7 +82,6 @@ __all__ = [
     "greatest_bisimulation",
     "parse_document",
     "parse_pes",
-    "pomsets_isomorphic",
     "replay",
     "solve",
     "solve_hereditary",

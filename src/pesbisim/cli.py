@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import games, oracle
-from .errors import CapExceededError, IllegalMoveError, ParseError, PesBisimError, ValidationError
+from .errors import CapExceededError, ParseError, PesBisimError, ValidationError
 from .export import arena_dot, configuration_graph_dot
 from .games import Role
 from .kinds import BisimulationKind
@@ -240,25 +240,13 @@ def cmd_play(args: argparse.Namespace) -> int:
     print(f"{kind} game on {es1.name} vs {es2.name}; you play {human.value}")
     pos = arena.initial
     machine_rules: list[str] = []
-    while True:
-        if pos.challenge is None and pos in solution.demoted:
-            print("hereditary closure violated; Spoiler wins")
-            winner = Role.SPOILER
-            break
-        legal = arena.moves[pos]
-        owner = pos.owner
-        if not legal:
-            if owner is Role.SPOILER:
-                print("Spoiler stuck; Duplicator wins")
-                winner = Role.DUPLICATOR
-            else:
-                print("Duplicator stuck; Spoiler wins")
-                winner = Role.SPOILER
-            break
+    while (turn := games.play_turn(arena, solution, pos, human)).ending is None:
         print(f"position {arena.describe(pos)}")
-        if owner is human:
-            for i, mv in enumerate(legal):
-                print(f"  [{i}] {arena.describe_move(pos, mv)}")
+        legal = turn.legal
+        mv = turn.machine_move
+        if mv is None:
+            for i, option in enumerate(legal):
+                print(f"  [{i}] {arena.describe_move(pos, option)}")
             choice = None
             while choice is None:
                 print(f"{human.value} move> ", end="", flush=True)
@@ -274,11 +262,11 @@ def cmd_play(args: argparse.Namespace) -> int:
             mv = legal[choice]
             print(f"{human.value} plays [{choice}] {arena.describe_move(pos, mv)}")
         else:
-            mv = solution.strategy.get(pos, legal[0])
             print(f"{machine.value} plays {arena.describe_move(pos, mv)}  [{mv.rule}]")
             machine_rules.append(mv.rule)
         pos = mv.target
-    if winner is machine and machine_rules:
+    print(games.ENDINGS[turn.ending])
+    if turn.winner is machine and machine_rules:
         print(f"machine strategy rationale: {' -> '.join(machine_rules)}")
     return 0
 
@@ -334,9 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--rel", choices=["pomset", "step", "hp", "hhp"])
     p_export.add_argument("--mode", choices=["strong", "branching"])
     p_export.add_argument("--strong-tau-erasure", action="store_true")
-    p_export.add_argument("--max-events", type=int, default=Caps.max_events)
-    p_export.add_argument("--max-configurations", type=int, default=Caps.max_configurations)
-    p_export.add_argument("--max-positions", type=int, default=Caps.max_positions)
+    _add_common(p_export, kinds=False)
     p_export.add_argument("files", nargs="+", metavar="FILE")
     p_export.set_defaults(func=cmd_export)
     return parser
@@ -350,9 +336,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, IllegalMoveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PesBisimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

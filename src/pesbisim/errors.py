@@ -34,15 +34,6 @@ class ParseError(PesBisimError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-class ExtensionError(PesBisimError):
-    """A matching could not be extended; reason is one of
-    'label-mismatch', 'order-violation', 'precondition'."""
-
-    def __init__(self, reason: str, message: str):
-        self.reason = reason
-        super().__init__(message)
-
-
 class MalformedWitnessError(PesBisimError):
     """A relation handed to verify_witness contains an ill-formed element."""
 

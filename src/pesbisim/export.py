@@ -19,7 +19,7 @@ def configuration_graph_dot(es: EventStructure) -> str:
     index = {c.mask: i for i, c in enumerate(configs)}
     lines = [f"digraph {_quote(es.name)} {{", "  rankdir=LR;"]
     for i, c in enumerate(configs):
-        shape = "doubleoctagon" if es.terminates(c) else "box"
+        shape = "doubleoctagon" if es.terminates_mask(c.mask) else "box"
         lines.append(f"  n{i} [label={_quote(str(c))} shape={shape}];")
     for c in configs:
         for x, target in es.transition_masks(c.mask, step=False):

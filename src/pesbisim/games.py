@@ -16,23 +16,24 @@ position per valid matching; the solver then demotes Duplicator-won
 positions whose matching has a synchronized shrinking with no
 Duplicator-won counterpart, re-solving with demoted positions as
 Spoiler-won sinks until a fixpoint.  A play reaching a demoted position
-ends there.
+ends there; ``play_turn`` decides, for ``replay`` and the interactive
+``play`` command alike, when a play ends, who wins and what the machine
+plays.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 from typing import Sequence
 
 from .errors import ArenaCycleError, CapExceededError, IllegalMoveError, ValidationError
 from .kinds import BisimulationKind, Flavor
-from .oracle import _Engine, _hereditary_ok, _triple_universe
+from .oracle import Engine, hereditary_ok, triple_universe
 from .pes import Caps, EventStructure
-
-Pairs = tuple[tuple[int, int], ...]
+from .pomsets import Pairs
 
 
 class Role(Enum):
@@ -174,7 +175,7 @@ def build_arena(
 ) -> Arena:
     """Breadth-first arena construction from the empty-configurations
     position, with deterministic move order."""
-    eng = _Engine(es1, es2, kind, strong_tau_erasure, caps)
+    eng = Engine(es1, es2, kind, strong_tau_erasure, caps)
     posetal = kind.posetal
     initial = GamePosition(False, 0, 0, () if posetal else None, None)
     index: dict[GamePosition, int] = {initial: 0}
@@ -194,7 +195,7 @@ def build_arena(
     # The hereditary flavors judge games started at every matching, not just
     # those reachable from the empty one, so each valid triple is a position.
     if kind.flavor is Flavor.HHP:
-        for m1, prs, m2 in _triple_universe(eng):
+        for m1, prs, m2 in triple_universe(eng):
             note(GamePosition(False, m1, m2, prs, None))
 
     while queue:
@@ -213,7 +214,7 @@ def _side_ids(pos: GamePosition) -> tuple[int, int]:
     return (2, 1) if pos.swapped else (1, 2)
 
 
-def _spoiler_moves(eng: _Engine, pos: GamePosition) -> tuple[Move, ...]:
+def _spoiler_moves(eng: Engine, pos: GamePosition) -> tuple[Move, ...]:
     sl, sr = _side_ids(pos)
     out: list[Move] = []
     if eng.kind.posetal:
@@ -258,7 +259,7 @@ def _normalized_pair(pos: GamePosition, e_left: int, e_right: int) -> tuple[int,
     return (e_right, e_left) if pos.swapped else (e_left, e_right)
 
 
-def _duplicator_moves(eng: _Engine, pos: GamePosition) -> tuple[Move, ...]:
+def _duplicator_moves(eng: Engine, pos: GamePosition) -> tuple[Move, ...]:
     assert pos.challenge is not None
     sl, sr = _side_ids(pos)
     es_l = eng.es1 if sl == 1 else eng.es2
@@ -358,14 +359,14 @@ def solve(arena: Arena) -> Solution:
     return _induct(arena, frozenset())
 
 
-def solve_hereditary(arena: Arena, caps: Caps | None = None) -> Solution:
+def solve_hereditary(arena: Arena) -> Solution:
     """Backward induction refined by hereditary closure: a Duplicator-won
     triple position whose matching has a synchronized shrinking with no
     Duplicator-won counterpart is demoted to a Spoiler-won sink, and the
     arena re-solved, until no demotion fires."""
     if not arena.kind.posetal:
         raise ValidationError("hereditary solving needs matching-carrying positions")
-    eng = _Engine(arena.es1, arena.es2, arena.kind, arena.strong_tau_erasure, caps)
+    eng = Engine(arena.es1, arena.es2, arena.kind, arena.strong_tau_erasure)
     solution = solve(arena)
     demoted: set[GamePosition] = set()
     spoiler_positions = [p for p in arena.positions if p.challenge is None]
@@ -380,7 +381,7 @@ def solve_hereditary(arena: Arena, caps: Caps | None = None) -> Solution:
             p
             for p in spoiler_positions
             if solution.winner[p] is Role.DUPLICATOR
-            and not _hereditary_ok(eng, triples[p], alive)
+            and not hereditary_ok(eng, triples[p], alive)
         ]
         if not newly:
             return solution
@@ -427,8 +428,45 @@ def game_check(
 ) -> GameVerdict:
     """Decide equivalence by building and solving the game arena."""
     arena = build_arena(es1, es2, kind, strong_tau_erasure=strong_tau_erasure, caps=caps)
-    solution = solve_hereditary(arena, caps) if kind.flavor is Flavor.HHP else solve(arena)
+    solution = solve_hereditary(arena) if kind.flavor is Flavor.HHP else solve(arena)
     return GameVerdict(kind, arena, solution)
+
+
+ENDINGS = {
+    "spoiler-stuck": "Spoiler stuck; Duplicator wins",
+    "duplicator-stuck": "Duplicator stuck; Spoiler wins",
+    "hereditary-closure-violation": "hereditary closure violated; Spoiler wins",
+}
+"""The rules that end a play, with the line announcing each."""
+
+
+@dataclass(frozen=True)
+class Turn:
+    """What happens at one position of a play.  Either the play ends
+    there (ending is a key of ENDINGS, winner the player who won), or its
+    owner picks one of the legal moves: machine_move is the machine's
+    pick, None when the owner is the external player."""
+
+    legal: tuple[Move, ...] = ()
+    machine_move: Move | None = None
+    ending: str | None = None
+    winner: Role | None = None
+
+
+def play_turn(arena: Arena, solution: Solution, pos: GamePosition, as_role: Role) -> Turn:
+    """The turn at pos in a play where the external player takes as_role
+    and the machine answers with its canonical strategy move where it wins
+    and its lowest-index move otherwise."""
+    if pos.challenge is None and pos in solution.demoted:
+        return Turn(ending="hereditary-closure-violation", winner=Role.SPOILER)
+    legal = arena.moves[pos]
+    owner = pos.owner
+    if not legal:
+        ending = "spoiler-stuck" if owner is Role.SPOILER else "duplicator-stuck"
+        return Turn(ending=ending, winner=owner.other())
+    if owner is as_role:
+        return Turn(legal)
+    return Turn(legal, solution.strategy.get(pos, legal[0]))
 
 
 @dataclass(frozen=True)
@@ -441,8 +479,7 @@ class TranscriptStep:
 @dataclass(frozen=True)
 class Transcript:
     """A finished play: the moves taken, the final position, the winner
-    and the rule that ended play ('spoiler-stuck', 'duplicator-stuck' or
-    'hereditary-closure-violation')."""
+    and the rule that ended play (a key of ENDINGS)."""
 
     steps: tuple[TranscriptStep, ...]
     final: GamePosition
@@ -450,18 +487,12 @@ class Transcript:
     ending: str
 
     def render(self, arena: Arena) -> str:
-        lines = []
-        for step in self.steps:
-            lines.append(
-                f"{step.actor.value}: {arena.describe_move(step.position, step.move)}"
-                f"  [{step.move.rule}]"
-            )
-        if self.ending == "spoiler-stuck":
-            lines.append("Spoiler stuck; Duplicator wins")
-        elif self.ending == "duplicator-stuck":
-            lines.append("Duplicator stuck; Spoiler wins")
-        else:
-            lines.append("hereditary closure violated; Spoiler wins")
+        lines = [
+            f"{step.actor.value}: {arena.describe_move(step.position, step.move)}"
+            f"  [{step.move.rule}]"
+            for step in self.steps
+        ]
+        lines.append(ENDINGS[self.ending])
         return "\n".join(lines)
 
 
@@ -472,31 +503,22 @@ def replay(
     moves: Sequence[int],
 ) -> Transcript:
     """Play the external player's numbered moves for one role against the
-    machine, which answers with its canonical strategy move where it wins
-    and its lowest-index move otherwise.  Raises IllegalMoveError on an
-    out-of-range index or when the move list runs out mid-play."""
+    machine (see play_turn).  Raises IllegalMoveError on an out-of-range
+    index or when the move list runs out mid-play."""
     pos = arena.initial
     steps: list[TranscriptStep] = []
-    supplied = 0
-    while True:
-        if pos.challenge is None and pos in solution.demoted:
-            return Transcript(tuple(steps), pos, Role.SPOILER, "hereditary-closure-violation")
-        legal = arena.moves[pos]
-        owner = pos.owner
-        if not legal:
-            ending = "spoiler-stuck" if owner is Role.SPOILER else "duplicator-stuck"
-            return Transcript(tuple(steps), pos, owner.other(), ending)
-        if owner is as_role:
-            if supplied >= len(moves):
+    supplied = iter(moves)
+    while (turn := play_turn(arena, solution, pos, as_role)).ending is None:
+        mv = turn.machine_move
+        if mv is None:
+            k = next(supplied, None)
+            if k is None:
                 raise IllegalMoveError("move list exhausted before the play ended")
-            k = moves[supplied]
-            supplied += 1
-            if not 0 <= k < len(legal):
+            if not 0 <= k < len(turn.legal):
                 raise IllegalMoveError(
-                    f"no move {k} at {arena.describe(pos)}: {len(legal)} moves available"
+                    f"no move {k} at {arena.describe(pos)}: {len(turn.legal)} moves available"
                 )
-            mv = legal[k]
-        else:
-            mv = solution.strategy.get(pos, legal[0])
-        steps.append(TranscriptStep(pos, owner, mv))
+            mv = turn.legal[k]
+        steps.append(TranscriptStep(pos, pos.owner, mv))
         pos = mv.target
+    return Transcript(tuple(steps), pos, turn.winner, turn.ending)

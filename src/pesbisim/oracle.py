@@ -23,20 +23,25 @@ Transfer conditions, per challenge C1 --X--> C1' (and symmetrically):
 The hp flavors use single-event challenges and extend the matching with
 the answering event; branching hp absorbs silent challenges by growing
 one side of the matching without touching the visible bijection.
+
+The move layer, ``Engine``, ``triple_universe`` and ``hereditary_ok``, is
+public: the games read their moves from the same objects, so both
+decision procedures share one definition of every move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import CapExceededError, MalformedWitnessError
-from .kinds import BisimulationKind, Flavor, Mode
-from .pes import Caps, Configuration, EventStructure, _bits
-from .pomsets import Matching, enumerate_matchings, iso_masks
+from .kinds import BisimulationKind, Flavor
+from .pes import Caps, Configuration, EventStructure
+from .pomsets import Matching, Pairs, enumerate_matchings, extends, iso_masks
 
 PairKey = tuple[int, int]
-TripleKey = tuple[int, tuple[tuple[int, int], ...], int]
+TripleKey = tuple[int, Pairs, int]
+Key = TypeVar("Key")
 
 
 @dataclass(frozen=True)
@@ -70,16 +75,18 @@ class Verdict:
     witness: Relation | None
 
 
-class _Engine:
-    """Shared tables for one structure pair and one kind."""
+class Engine:
+    """The moves of one structure pair under one kind, per side (1 or 2):
+    transitions, single events, silent reachability, termination, pomset
+    isomorphism and matching extension."""
 
     def __init__(
         self,
         es1: EventStructure,
         es2: EventStructure,
         kind: BisimulationKind,
-        strong_tau_erasure: bool,
-        caps: Caps | None,
+        strong_tau_erasure: bool = False,
+        caps: Caps | None = None,
     ):
         self.es1 = es1
         self.es2 = es2
@@ -89,7 +96,6 @@ class _Engine:
         self.branching = kind.branching
         self.erase = True if self.branching else strong_tau_erasure
         self._iso_cache: dict = {}
-        self._weak_ok_cache: dict = {}
 
     def trans(self, side: int, mask: int) -> tuple[tuple[int, int], ...]:
         es = self.es1 if side == 1 else self.es2
@@ -97,7 +103,7 @@ class _Engine:
 
     def singles(self, side: int, mask: int) -> tuple[int, ...]:
         es = self.es1 if side == 1 else self.es2
-        return es._enabled(mask)
+        return es.enabled(mask)
 
     def iso(self, x1: int, x2: int) -> bool:
         if self.erase:
@@ -122,24 +128,17 @@ class _Engine:
         es = self.es1 if side == 1 else self.es2
         return es.terminates_mask(mask)
 
-    def ext_ok(self, pairs: tuple[tuple[int, int], ...], e1: int, e2: int) -> bool:
+    def ext_ok(self, pairs: Pairs, e1: int, e2: int) -> bool:
         """Can the pair set absorb (e1 in es1, e2 in es2)?  Labels must
         agree; order against every existing pair must agree both ways."""
-        if self.es1.label_of_index(e1) != self.es2.label_of_index(e2):
-            return False
-        for a, b in pairs:
-            if self.es1.leq_idx(a, e1) != self.es2.leq_idx(b, e2):
-                return False
-            if self.es1.leq_idx(e1, a) != self.es2.leq_idx(e2, b):
-                return False
-        return True
+        return extends(self.es1, self.es2, pairs, e1, e2)
 
 
 # ----------------------------------------------------------------------
 # candidate universes
 
 
-def _pair_universe(eng: _Engine) -> list[PairKey]:
+def _pair_universe(eng: Engine) -> list[PairKey]:
     masks1 = sorted(eng.es1.configuration_masks())
     masks2 = sorted(eng.es2.configuration_masks())
     total = len(masks1) * len(masks2)
@@ -148,7 +147,9 @@ def _pair_universe(eng: _Engine) -> list[PairKey]:
     return [(m1, m2) for m1 in masks1 for m2 in masks2]
 
 
-def _triple_universe(eng: _Engine) -> list[TripleKey]:
+def triple_universe(eng: Engine) -> list[TripleKey]:
+    """Every matching of every configuration pair, weak in branching
+    mode, as sorted (first mask, pairs, second mask) keys."""
     weak = eng.branching
     out: list[TripleKey] = []
     limit = eng.caps.max_positions
@@ -166,7 +167,7 @@ def _triple_universe(eng: _Engine) -> list[TripleKey]:
 # transfer conditions
 
 
-def _pair_supported(eng: _Engine, key: PairKey, alive: set[PairKey]) -> bool:
+def _pair_supported(eng: Engine, key: PairKey, alive: set[PairKey]) -> bool:
     m1, m2 = key
     if eng.branching:
         silent1 = eng.es1.silent_mask
@@ -211,7 +212,7 @@ def _pair_supported(eng: _Engine, key: PairKey, alive: set[PairKey]) -> bool:
     return True
 
 
-def _triple_supported(eng: _Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
+def _triple_supported(eng: Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
     m1, pairs, m2 = key
     if eng.branching:
         return _triple_supported_branching(eng, key, alive)
@@ -234,7 +235,7 @@ def _triple_supported(eng: _Engine, key: TripleKey, alive: set[TripleKey]) -> bo
     return True
 
 
-def _triple_supported_branching(eng: _Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
+def _triple_supported_branching(eng: Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
     m1, pairs, m2 = key
     for e1 in eng.singles(1, m1):
         m1p = m1 | 1 << e1
@@ -299,7 +300,7 @@ def _triple_supported_branching(eng: _Engine, key: TripleKey, alive: set[TripleK
 # hereditary closure
 
 
-def _hereditary_ok(eng: _Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
+def hereditary_ok(eng: Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
     """Whether every synchronized shrinking of the matching stays in the set.
 
     Shrinking restricts one side to a smaller configuration and keeps only
@@ -358,35 +359,33 @@ def _hereditary_ok(eng: _Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
     return True
 
 
-def _closure_fixpoint(
-    eng: _Engine, universe: list[TripleKey], alive: set[TripleKey]
-) -> set[TripleKey]:
-    while True:
+def _prune(
+    eng: Engine,
+    universe: list[Key],
+    alive: set[Key],
+    supported: Callable[[Engine, Key, set[Key]], bool],
+) -> None:
+    """Remove the members of alive that are not supported by alive, until
+    every remaining member is."""
+    changed = True
+    while changed:
         changed = False
         for key in universe:
-            if key in alive and not _triple_supported(eng, key, alive):
+            if key in alive and not supported(eng, key, alive):
                 alive.discard(key)
                 changed = True
-        if not changed:
-            break
+
+
+def _closure_fixpoint(
+    eng: Engine, universe: list[TripleKey], alive: set[TripleKey]
+) -> set[TripleKey]:
+    _prune(eng, universe, alive, _triple_supported)
     if eng.kind.flavor is Flavor.HHP:
-        while True:
-            demoted = [
-                key
-                for key in universe
-                if key in alive and not _hereditary_ok(eng, key, alive)
-            ]
-            if not demoted:
-                break
+        while demoted := [
+            key for key in universe if key in alive and not hereditary_ok(eng, key, alive)
+        ]:
             alive.difference_update(demoted)
-            while True:
-                changed = False
-                for key in universe:
-                    if key in alive and not _triple_supported(eng, key, alive):
-                        alive.discard(key)
-                        changed = True
-                if not changed:
-                    break
+            _prune(eng, universe, alive, _triple_supported)
     return alive
 
 
@@ -403,9 +402,9 @@ def greatest_bisimulation(
     caps: Caps | None = None,
 ) -> Relation:
     """The largest relation closed under the kind's transfer conditions."""
-    eng = _Engine(es1, es2, kind, strong_tau_erasure, caps)
+    eng = Engine(es1, es2, kind, strong_tau_erasure, caps)
     if kind.posetal:
-        universe = _triple_universe(eng)
+        universe = triple_universe(eng)
         alive: set[TripleKey] = set(universe)
         alive = _closure_fixpoint(eng, universe, alive)
         matchings = frozenset(
@@ -415,14 +414,7 @@ def greatest_bisimulation(
         return Relation(es1, es2, kind, matchings=matchings)
     pair_universe = _pair_universe(eng)
     pairs_alive: set[PairKey] = set(pair_universe)
-    while True:
-        changed = False
-        for key in pair_universe:
-            if key in pairs_alive and not _pair_supported(eng, key, pairs_alive):
-                pairs_alive.discard(key)
-                changed = True
-        if not changed:
-            break
+    _prune(eng, pair_universe, pairs_alive, _pair_supported)
     pairs = frozenset(
         (Configuration(es1, m1), Configuration(es2, m2)) for m1, m2 in pairs_alive
     )
@@ -459,13 +451,12 @@ def verify_witness(
     members: Relation | Iterable,
     *,
     strong_tau_erasure: bool = False,
-    caps: Caps | None = None,
 ) -> bool:
     """Re-check that a claimed relation is closed under the kind's
     transfer conditions (and hereditarily closed for hhp).  Malformed
     elements raise MalformedWitnessError; a well-formed set that merely
     fails closure returns False."""
-    eng = _Engine(es1, es2, kind, strong_tau_erasure, caps)
+    eng = Engine(es1, es2, kind, strong_tau_erasure)
     if isinstance(members, Relation):
         members = members.sorted_members()
     if kind.posetal:
@@ -489,7 +480,7 @@ def verify_witness(
                 return False
         if kind.flavor is Flavor.HHP:
             for key in keys:
-                if not _hereditary_ok(eng, key, keys):
+                if not hereditary_ok(eng, key, keys):
                     return False
         return True
     pair_keys: set[PairKey] = set()

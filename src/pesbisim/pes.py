@@ -6,12 +6,15 @@ are configurations: finite event sets that are conflict-free and downward
 closed under causality.  The label name ``tau`` is reserved for silent
 events.
 
-Construction validates the declarations and precomputes the closed
-relation tables.  Everything is immutable after construction and every
-operation is a pure function of its inputs, so instances are safe to share
-across threads.  Events are indexed by declaration order internally;
-configurations are bitmasks over those indices, and the canonical order of
-configurations is ascending mask order.
+Construction validates the declarations and closes causality and
+conflict into per-event bitmasks.  Events are indexed by declaration
+order; configurations and the event sets that transitions add are
+bitmasks over those indices, and the canonical order of configurations is
+ascending mask order.  The engines read every move through the mask-level
+methods (``enabled``, ``transition_masks``, ``tau_reachable_masks``,
+``terminates_mask``), which cache their answers per mask.  A cache entry
+never changes once written, so instances are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -68,22 +71,8 @@ class TerminationPolicy:
             raise ValidationError("termination masks only allowed for the explicit policy")
 
 
-@dataclass(frozen=True)
-class RelationTables:
-    """Closed binary relations of an event structure, as name pairs.
-
-    causality is reflexive-transitive, conflict is symmetric and
-    hereditary, consistency is the complement of conflict, concurrency
-    holds for causally unrelated, conflict-free pairs of distinct events.
-    """
-
-    causality: frozenset[tuple[str, str]]
-    conflict: frozenset[tuple[str, str]]
-    consistency: frozenset[tuple[str, str]]
-    concurrency: frozenset[tuple[str, str]]
-
-
-def _bits(mask: int) -> list[int]:
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -147,17 +136,17 @@ class EventStructure:
                 k = stack.pop()
                 new = pred[k] & ~reach
                 reach |= new
-                stack.extend(_bits(new))
+                stack.extend(bits(new))
             below[i] = reach
         for i in range(n):
-            for j in _bits(below[i]):
+            for j in bits(below[i]):
                 if j != i and below[j] >> i & 1:
                     raise ValidationError(
                         f"causality cycle involving {ids[i]!r} and {ids[j]!r}"
                     )
         above = [0] * n
         for i in range(n):
-            for j in _bits(below[i]):
+            for j in bits(below[i]):
                 above[j] |= 1 << i
 
         conflict = [0] * n
@@ -174,9 +163,9 @@ class EventStructure:
         # pairs of causal successors of its two sides.
         for a, b in declared_conflicts:
             ia, ib = self._resolve(a), self._resolve(b)
-            for u in _bits(above[ia]):
+            for u in bits(above[ia]):
                 conflict[u] |= above[ib]
-            for v in _bits(above[ib]):
+            for v in bits(above[ib]):
                 conflict[v] |= above[ia]
         for i in range(n):
             if conflict[i] >> i & 1:
@@ -253,7 +242,7 @@ class EventStructure:
         return m
 
     def events_of_mask(self, mask: int) -> tuple[str, ...]:
-        return tuple(self._events[i] for i in _bits(mask))
+        return tuple(self._events[i] for i in bits(mask))
 
     def format_mask(self, mask: int) -> str:
         return "{" + ",".join(self.events_of_mask(mask)) + "}"
@@ -270,31 +259,8 @@ class EventStructure:
     def in_conflict(self, e1: str, e2: str) -> bool:
         return bool(self._conflict[self._resolve(e1)] >> self._resolve(e2) & 1)
 
-    def consistent(self, e1: str, e2: str) -> bool:
-        return not self.in_conflict(e1, e2)
-
     def concurrent(self, e1: str, e2: str) -> bool:
         return bool(self._concurrent[self._resolve(e1)] >> self._resolve(e2) & 1)
-
-    def relation_tables(self) -> RelationTables:
-        names = self._events
-        causality = set()
-        conflict = set()
-        consistency = set()
-        concurrency = set()
-        for i in range(self._n):
-            for j in range(self._n):
-                if self._below[j] >> i & 1:
-                    causality.add((names[i], names[j]))
-                if self._conflict[i] >> j & 1:
-                    conflict.add((names[i], names[j]))
-                else:
-                    consistency.add((names[i], names[j]))
-                if self._concurrent[i] >> j & 1:
-                    concurrency.add((names[i], names[j]))
-        return RelationTables(
-            frozenset(causality), frozenset(conflict), frozenset(consistency), frozenset(concurrency)
-        )
 
     # ------------------------------------------------------------------
     # configurations
@@ -302,14 +268,14 @@ class EventStructure:
     def is_configuration_mask(self, mask: int) -> bool:
         if mask & ~self.full_mask:
             return False
-        for i in _bits(mask):
+        for i in bits(mask):
             if self._below[i] & ~mask:
                 return False
             if self._conflict[i] & mask:
                 return False
         return True
 
-    def _enabled(self, mask: int) -> tuple[int, ...]:
+    def enabled(self, mask: int) -> tuple[int, ...]:
         """Event indices whose addition to the configuration mask yields
         another configuration."""
         cached = self._enabled_cache.get(mask)
@@ -335,7 +301,7 @@ class EventStructure:
             limit = self.caps.max_configurations
             while stack:
                 m = stack.pop()
-                for e in self._enabled(m):
+                for e in self.enabled(m):
                     m2 = m | 1 << e
                     if m2 not in masks:
                         if len(masks) >= limit:
@@ -381,36 +347,21 @@ class EventStructure:
         return cached
 
     def pairwise_concurrent(self, mask: int) -> bool:
-        for i in _bits(mask):
+        for i in bits(mask):
             if mask & ~(self._concurrent[i] | 1 << i):
                 return False
         return True
 
-    def pomset_transitions(self, config: Configuration) -> tuple[Transition, ...]:
-        """Transitions adding any nonempty event set that extends the
-        configuration to a larger one."""
-        self._own(config)
-        return tuple(
-            Transition(config, x, Configuration(self, t), "pomset")
-            for x, t in self.transition_masks(config.mask, step=False)
-        )
-
-    def step_transitions(self, config: Configuration) -> tuple[Transition, ...]:
-        """Pomset transitions whose added events are pairwise concurrent."""
-        self._own(config)
-        return tuple(
-            Transition(config, x, Configuration(self, t), "step")
-            for x, t in self.transition_masks(config.mask, step=True)
-        )
-
     def tau_reachable_masks(self, mask: int) -> tuple[int, ...]:
+        """Configurations reachable by adding silent events only, the
+        given one included, in ascending mask order."""
         cached = self._tau_cache.get(mask)
         if cached is None:
             seen = {mask}
             stack = [mask]
             while stack:
                 m = stack.pop()
-                for e in self._enabled(m):
+                for e in self.enabled(m):
                     if self.silent_mask >> e & 1:
                         m2 = m | 1 << e
                         if m2 not in seen:
@@ -420,38 +371,15 @@ class EventStructure:
             self._tau_cache[mask] = cached
         return cached
 
-    def tau_closure(self, config: Configuration) -> tuple[Configuration, ...]:
-        """Configurations reachable by adding silent events only, the
-        given configuration included, in ascending mask order."""
-        self._own(config)
-        return tuple(Configuration(self, m) for m in self.tau_reachable_masks(config.mask))
-
-    def all_silent(self, events: Iterable[str]) -> bool:
-        """True iff every event of the nonempty set is silent."""
-        mask = self.mask_of(events)
-        if not mask:
-            raise ValidationError("empty pomset has no silence status")
-        return not (mask & ~self.silent_mask)
-
     def terminates_mask(self, mask: int) -> bool:
+        """True iff the configuration counts as successfully terminated
+        under this structure's termination policy."""
         pol = self._termination
         if pol.kind == "maximal":
-            return not self._enabled(mask)
+            return not self.enabled(mask)
         if pol.kind == "none":
             return False
         return mask in pol.masks
-
-    def terminates(self, config: Configuration) -> bool:
-        """True iff the configuration counts as successfully terminated
-        under this structure's termination policy."""
-        self._own(config)
-        return self.terminates_mask(config.mask)
-
-    def _own(self, config: Configuration) -> None:
-        if config.owner is not self:
-            raise ValidationError(
-                f"configuration {config} belongs to {config.owner.name}, not {self.name}"
-            )
 
     def __repr__(self) -> str:
         return f"EventStructure({self.name!r}, {self._n} events)"
@@ -472,53 +400,8 @@ class Configuration:
     def visible_mask(self) -> int:
         return self.mask & ~self.owner.silent_mask
 
-    @property
-    def visible_events(self) -> tuple[str, ...]:
-        """The events left after erasing silent ones."""
-        return self.owner.events_of_mask(self.visible_mask)
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
     def __str__(self) -> str:
         return self.owner.format_mask(self.mask)
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One transition: source plus a disjoint event set reaching target.
-
-    kind is 'pomset', 'step' (pairwise concurrent events) or 'tau-star'
-    (silent events only); the stricter kinds imply the corresponding
-    structural property of the added events.
-    """
-
-    source: Configuration
-    added_mask: int
-    target: Configuration
-    kind: str = "pomset"
-
-    def __post_init__(self) -> None:
-        es = self.source.owner
-        if self.target.owner is not es:
-            raise ValidationError("transition endpoints belong to different structures")
-        if not self.added_mask or self.added_mask & self.source.mask:
-            raise ValidationError("added events must be nonempty and disjoint from the source")
-        if self.target.mask != self.source.mask | self.added_mask:
-            raise ValidationError("transition target must be source plus added events")
-        if not es.is_configuration_mask(self.target.mask):
-            raise ValidationError("transition target is not a configuration")
-        if self.kind == "step" and not es.pairwise_concurrent(self.added_mask):
-            raise ValidationError("step transition events must be pairwise concurrent")
-        if self.kind == "tau-star" and self.added_mask & ~es.silent_mask:
-            raise ValidationError("tau-star transition events must all be silent")
-        if self.kind not in ("pomset", "step", "tau-star"):
-            raise ValidationError(f"unknown transition kind {self.kind!r}")
-
-    @property
-    def added_events(self) -> tuple[str, ...]:
-        return self.source.owner.events_of_mask(self.added_mask)
-
-    def __str__(self) -> str:
-        es = self.source.owner
-        return f"{self.source} --{es.format_mask(self.added_mask)}--> {self.target}"

@@ -1,59 +1,59 @@
 """Pomsets over event structures: isomorphism and posetal matchings.
 
-A pomset here is an event subset of one structure, carrying the induced
-causal order and labels.  Two pomsets are isomorphic when a bijection
-preserves labels and order in both directions; the check is an exhaustive
-backtracking search over label-respecting bijections, which is fast at
-desk scale.  A Matching is a label- and order-preserving bijection between
-two configurations, either over all events (strong) or over the visible
-events of each side (weak).
+A pomset here is an event subset of one structure, given as a bitmask,
+carrying the induced causal order and labels.  Two pomsets are isomorphic
+when a bijection preserves labels and order in both directions.  A
+Matching is such a bijection between two configurations, either over all
+events (strong) or over the visible events of each side (weak).  One
+backtracking search over label-respecting bijections serves both the
+isomorphism test and the enumeration of matchings, and it grows its
+bijection with the same extension rule the engines use, ``extends``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
-from .errors import ExtensionError, ValidationError
-from .pes import Configuration, EventStructure, _bits
+from .errors import ValidationError
+from .pes import Configuration, EventStructure, bits
+
+Pairs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Pomset:
-    """An event subset of one structure, with induced order and labels."""
+def extends(
+    es1: EventStructure, es2: EventStructure, pairs: Sequence[tuple[int, int]], i: int, j: int
+) -> bool:
+    """Whether the pair set can absorb (i in es1, j in es2): the labels
+    agree and i, j order the same way against every existing pair."""
+    if es1.label_of_index(i).name != es2.label_of_index(j).name:
+        return False
+    for a, b in pairs:
+        if es1.leq_idx(a, i) != es2.leq_idx(b, j) or es1.leq_idx(i, a) != es2.leq_idx(j, b):
+            return False
+    return True
 
-    owner: EventStructure = field(repr=False)
-    mask: int
 
-    @classmethod
-    def of(cls, es: EventStructure, events) -> Pomset:
-        return cls(es, es.mask_of(events))
+def _bijections(
+    es1: EventStructure, idx1: list[int], es2: EventStructure, idx2: list[int]
+) -> Iterator[Pairs]:
+    """Label- and order-preserving bijections from idx1 onto idx2, lists
+    of equal length, each as (i, j) pairs in idx1 order, found by
+    backtracking."""
+    pairs: list[tuple[int, int]] = []
 
-    @classmethod
-    def of_configuration(cls, config: Configuration) -> Pomset:
-        return cls(config.owner, config.mask)
+    def backtrack(pos: int, used: int) -> Iterator[Pairs]:
+        if pos == len(idx1):
+            yield tuple(pairs)
+            return
+        i = idx1[pos]
+        for j in idx2:
+            if not used >> j & 1 and extends(es1, es2, pairs, i, j):
+                pairs.append((i, j))
+                yield from backtrack(pos + 1, used | 1 << j)
+                pairs.pop()
 
-    @property
-    def events(self) -> tuple[str, ...]:
-        return self.owner.events_of_mask(self.mask)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        es = self.owner
-        return tuple(es.label_of_index(i).name for i in _bits(self.mask))
-
-    def order_pairs(self) -> frozenset[tuple[str, str]]:
-        """The induced strict order among the pomset's events."""
-        es = self.owner
-        idx = _bits(self.mask)
-        return frozenset(
-            (es.events[i], es.events[j])
-            for i in idx
-            for j in idx
-            if i != j and es.leq_idx(i, j)
-        )
-
-    def __str__(self) -> str:
-        return self.owner.format_mask(self.mask)
+    yield from backtrack(0, 0)
 
 
 def _signature(es: EventStructure, idx: list[int]) -> list[tuple[str, int, int]]:
@@ -71,60 +71,16 @@ def iso_masks(
     es2: EventStructure,
     mask2: int,
     erase_silent: bool,
-    cache: dict | None = None,
 ) -> bool:
-    """Mask-level isomorphism test, optionally erasing silent events first.
-
-    cache, when given, memoizes results for one structure pair.
-    """
+    """Mask-level isomorphism test, optionally erasing silent events first."""
     if erase_silent:
         mask1 &= ~es1.silent_mask
         mask2 &= ~es2.silent_mask
-    if cache is not None:
-        key = (mask1, mask2)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = _iso_search(es1, mask1, es2, mask2)
-    if cache is not None:
-        cache[key] = result
-    return result
-
-
-def _iso_search(es1: EventStructure, mask1: int, es2: EventStructure, mask2: int) -> bool:
-    idx1 = _bits(mask1)
-    idx2 = _bits(mask2)
-    if len(idx1) != len(idx2):
+    idx1 = bits(mask1)
+    idx2 = bits(mask2)
+    if len(idx1) != len(idx2) or _signature(es1, idx1) != _signature(es2, idx2):
         return False
-    if _signature(es1, idx1) != _signature(es2, idx2):
-        return False
-
-    def backtrack(pos: int, used: int, pairs: list[tuple[int, int]]) -> bool:
-        if pos == len(idx1):
-            return True
-        i = idx1[pos]
-        label = es1.label_of_index(i).name
-        for j in idx2:
-            if used >> j & 1 or es2.label_of_index(j).name != label:
-                continue
-            ok = True
-            for a, b in pairs:
-                if es1.leq_idx(a, i) != es2.leq_idx(b, j) or es1.leq_idx(i, a) != es2.leq_idx(j, b):
-                    ok = False
-                    break
-            if ok:
-                pairs.append((i, j))
-                if backtrack(pos + 1, used | 1 << j, pairs):
-                    return True
-                pairs.pop()
-        return False
-
-    return backtrack(0, 0, [])
-
-
-def pomsets_isomorphic(p1: Pomset, p2: Pomset, *, erase_silent: bool = False) -> bool:
-    """True iff some bijection preserves labels and order both ways."""
-    return iso_masks(p1.owner, p1.mask, p2.owner, p2.mask, erase_silent)
+    return next(_bijections(es1, idx1, es2, idx2), None) is not None
 
 
 @dataclass(frozen=True)
@@ -141,7 +97,7 @@ class Matching:
     es2: EventStructure = field(repr=False)
     mask1: int
     mask2: int
-    pairs: tuple[tuple[int, int], ...]
+    pairs: Pairs
     weak: bool
 
     # -- construction ---------------------------------------------------
@@ -214,115 +170,15 @@ class Matching:
         inner = ",".join(f"{a}->{b}" for a, b in self.pairs_by_name)
         return f"({self.cfg1},{{{inner}}},{self.cfg2})"
 
-    # -- extension ----------------------------------------------------------
-
-    def _extend_idx(self, i: int, j: int) -> tuple[str, str] | Matching:
-        """Internal extension on indices; returns a reason pair on failure."""
-        es1, es2 = self.es1, self.es2
-        if self.mask1 >> i & 1 or self.mask2 >> j & 1:
-            return ("precondition", "event already in the matched configuration")
-        m1 = self.mask1 | 1 << i
-        m2 = self.mask2 | 1 << j
-        if not es1.is_configuration_mask(m1) or not es2.is_configuration_mask(m2):
-            return ("precondition", "extension does not yield configurations")
-        l1, l2 = es1.label_of_index(i), es2.label_of_index(j)
-        if l1 != l2:
-            return ("label-mismatch", f"{es1.events[i]} is {l1}, {es2.events[j]} is {l2}")
-        if self.weak and l1.silent:
-            # Both sides grow by a silent event; the visible bijection is
-            # untouched.
-            return Matching(es1, es2, m1, m2, self.pairs, True)
-        for a, b in self.pairs:
-            if es1.leq_idx(a, i) != es2.leq_idx(b, j) or es1.leq_idx(i, a) != es2.leq_idx(j, b):
-                return (
-                    "order-violation",
-                    f"{es1.events[i]} and {es2.events[j]} order differently against "
-                    f"{es1.events[a]}->{es2.events[b]}",
-                )
-        new_pairs = tuple(sorted(self.pairs + ((i, j),)))
-        return Matching(es1, es2, m1, m2, new_pairs, self.weak)
-
-    def try_extend_idx(self, i: int, j: int) -> Matching | None:
-        out = self._extend_idx(i, j)
-        return out if isinstance(out, Matching) else None
-
-    def extend(self, e1: str, e2: str) -> Matching:
-        """Extend with a new matched event pair, or raise ExtensionError
-        with reason 'label-mismatch', 'order-violation' or 'precondition'."""
-        out = self._extend_idx(self.es1.event_index(e1), self.es2.event_index(e2))
-        if isinstance(out, Matching):
-            return out
-        raise ExtensionError(out[0], out[1])
-
-    def grow_silent_idx(self, side: int, i: int) -> Matching | None:
-        """Grow one side's configuration by a silent event, keeping the
-        visible bijection; weak matchings only.  side 1 grows cfg1."""
-        if not self.weak:
-            return None
-        es = self.es1 if side == 1 else self.es2
-        mask = self.mask1 if side == 1 else self.mask2
-        if mask >> i & 1 or not es.label_of_index(i).silent:
-            return None
-        new = mask | 1 << i
-        if not es.is_configuration_mask(new):
-            return None
-        if side == 1:
-            return Matching(self.es1, self.es2, new, self.mask2, self.pairs, True)
-        return Matching(self.es1, self.es2, self.mask1, new, self.pairs, True)
-
-    def grow_silent(self, side: int, event: str) -> Matching:
-        es = self.es1 if side == 1 else self.es2
-        out = self.grow_silent_idx(side, es.event_index(event))
-        if out is None:
-            raise ExtensionError(
-                "precondition",
-                f"cannot grow side {side} with {event!r}: weak matching, fresh silent "
-                "event and configuration extension required",
-            )
-        return out
-
-    # -- containment --------------------------------------------------------
-
-    def contained_in(self, other: Matching) -> bool:
-        """Pointwise containment: both configurations and the pair set."""
-        if self.es1 is not other.es1 or self.es2 is not other.es2 or self.weak != other.weak:
-            raise ValidationError("containment compares matchings over one structure pair and mode")
-        return (
-            self.mask1 & ~other.mask1 == 0
-            and self.mask2 & ~other.mask2 == 0
-            and set(self.pairs) <= set(other.pairs)
-        )
-
 
 def enumerate_matchings(c1: Configuration, c2: Configuration, *, weak: bool) -> tuple[Matching, ...]:
     """All matchings between two configurations, sorted by pair tuple."""
-    es1, es2 = c1.owner, c2.owner
-    dom = _bits(c1.visible_mask if weak else c1.mask)
-    cod = _bits(c2.visible_mask if weak else c2.mask)
+    dom = bits(c1.visible_mask if weak else c1.mask)
+    cod = bits(c2.visible_mask if weak else c2.mask)
     if len(dom) != len(cod):
         return ()
-    found: list[Matching] = []
-
-    def backtrack(pos: int, used: int, chosen: list[tuple[int, int]]) -> None:
-        if pos == len(dom):
-            found.append(
-                Matching(es1, es2, c1.mask, c2.mask, tuple(sorted(chosen)), weak)
-            )
-            return
-        i = dom[pos]
-        label = es1.label_of_index(i)
-        for j in cod:
-            if used >> j & 1 or es2.label_of_index(j) != label:
-                continue
-            ok = True
-            for a, b in chosen:
-                if es1.leq_idx(a, i) != es2.leq_idx(b, j) or es1.leq_idx(i, a) != es2.leq_idx(j, b):
-                    ok = False
-                    break
-            if ok:
-                chosen.append((i, j))
-                backtrack(pos + 1, used | 1 << j, chosen)
-                chosen.pop()
-
-    backtrack(0, 0, [])
-    return tuple(sorted(found, key=lambda m: m.pairs))
+    es1, es2 = c1.owner, c2.owner
+    return tuple(
+        Matching(es1, es2, c1.mask, c2.mask, pairs, weak)
+        for pairs in sorted(_bijections(es1, dom, es2, cod))
+    )

@@ -1,0 +1,42 @@
+"""Module boundaries of the package: no module reaches into another
+module's private names, and everything the package exports exists."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pesbisim
+
+SRC = Path(pesbisim.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    offending = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "pesbisim"
+        ):
+            offending.extend(a.name for a in node.names if _private(a.name))
+            if _private((node.module or "").rsplit(".", 1)[-1]):
+                offending.append(node.module)
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            # another object's private attribute: only self and cls may
+            if not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                offending.append(node.attr)
+    assert offending == [], f"{path.name} reaches private names {offending}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in pesbisim.__all__ if not hasattr(pesbisim, name)]
+    assert missing == []
+    assert len(set(pesbisim.__all__)) == len(pesbisim.__all__)

@@ -14,7 +14,6 @@ from pesbisim import (
     CapExceededError,
     Caps,
     EventStructure,
-    Transition,
     ValidationError,
 )
 
@@ -193,37 +192,22 @@ def test_transitions_match_brute_force():
                 )
 
 
+def added_events(es: EventStructure, mask: int, step: bool) -> set[tuple[str, ...]]:
+    return {es.events_of_mask(x) for x, _ in es.transition_masks(mask, step)}
+
+
 def test_seq_pomset_transitions_from_empty():
     es = seq()
-    got = {t.added_events for t in es.pomset_transitions(es.empty_configuration())}
-    assert got == {("a",), ("a", "b")}
-    assert es.pomset_transitions(es.configuration(["a", "b"])) == ()
+    assert added_events(es, 0, step=False) == {("a",), ("a", "b")}
+    assert es.transition_masks(es.full_mask, step=False) == ()
 
 
 def test_seq_step_transitions_reject_chain():
-    es = seq()
-    got = {t.added_events for t in es.step_transitions(es.empty_configuration())}
-    assert got == {("a",)}
+    assert added_events(seq(), 0, step=True) == {("a",)}
 
 
 def test_par_step_transitions_admit_joint_step():
-    es = par()
-    got = {t.added_events for t in es.step_transitions(es.empty_configuration())}
-    assert got == {("a",), ("b",), ("a", "b")}
-
-
-def test_transition_validation():
-    es = seq()
-    empty = es.empty_configuration()
-    full = es.configuration(["a", "b"])
-    ok = Transition(empty, full.mask, full, "pomset")
-    assert ok.added_events == ("a", "b")
-    with pytest.raises(ValidationError):
-        Transition(empty, 0, empty, "pomset")
-    with pytest.raises(ValidationError):
-        Transition(empty, full.mask, full, "step")
-    with pytest.raises(ValidationError):
-        Transition(empty, full.mask, full, "tau-star")
+    assert added_events(par(), 0, step=True) == {("a",), ("b",), ("a", "b")}
 
 
 # ----------------------------------------------------------------------
@@ -232,47 +216,46 @@ def test_transition_validation():
 
 def test_tau_closure_examples():
     es = tau()
-    empty = es.empty_configuration()
-    assert {c.events for c in es.tau_closure(empty)} == {(), ("t",)}
-    assert {c.events for c in es.tau_closure(es.configuration(["t"]))} == {("t",)}
+    t = es.mask_of(["t"])
+    assert es.tau_reachable_masks(0) == (0, t)
+    assert es.tau_reachable_masks(t) == (t,)
 
 
 def test_tau_closure_matches_silent_pomset_reachability():
     rng = random.Random(14)
     for _ in range(60):
         es, *_ = build_pair(rng)
-        for cfg in es.configurations():
-            via_steps = {c.mask for c in es.tau_closure(cfg)}
-            via_pomsets = {cfg.mask}
-            frontier = [cfg]
+        for mask in es.configuration_masks():
+            via_pomsets = {mask}
+            frontier = [mask]
             while frontier:
-                c = frontier.pop()
-                for t in es.pomset_transitions(c):
-                    if es.all_silent(t.added_events) and t.target.mask not in via_pomsets:
-                        via_pomsets.add(t.target.mask)
-                        frontier.append(t.target)
-            assert via_steps == via_pomsets
+                m = frontier.pop()
+                for x, target in es.transition_masks(m, step=False):
+                    if not x & ~es.silent_mask and target not in via_pomsets:
+                        via_pomsets.add(target)
+                        frontier.append(target)
+            assert set(es.tau_reachable_masks(mask)) == via_pomsets
 
 
 def test_all_silent():
+    """A pomset is all silent when its mask lies inside silent_mask."""
     es = tau()
-    assert es.all_silent(["t"])
-    assert not es.all_silent(["t", "a"])
-    with pytest.raises(ValidationError, match="empty pomset"):
-        es.all_silent([])
+    assert es.silent_mask == es.mask_of(["t"])
+    moves = es.transition_masks(0, step=False)
+    assert {es.events_of_mask(x) for x, _ in moves if not x & ~es.silent_mask} == {("t",)}
 
 
 def test_termination_policies():
     maximal = seq()
-    assert maximal.terminates(maximal.configuration(["a", "b"]))
-    assert not maximal.terminates(maximal.configuration(["a"]))
+    assert maximal.terminates_mask(maximal.mask_of(["a", "b"]))
+    assert not maximal.terminates_mask(maximal.mask_of(["a"]))
     none = EventStructure("S", [("a", "a"), ("b", "b")], [("a", "b")], termination="none")
-    assert not none.terminates(none.configuration(["a", "b"]))
+    assert not none.terminates_mask(none.mask_of(["a", "b"]))
     explicit = EventStructure(
         "S", [("a", "a"), ("b", "b")], [("a", "b")], termination=[["a"]]
     )
-    assert explicit.terminates(explicit.configuration(["a"]))
-    assert not explicit.terminates(explicit.configuration(["a", "b"]))
+    assert explicit.terminates_mask(explicit.mask_of(["a"]))
+    assert not explicit.terminates_mask(explicit.mask_of(["a", "b"]))
 
 
 def test_explicit_termination_must_be_configuration():
@@ -400,8 +383,10 @@ def test_random_structures_always_validate(seed):
 def test_transitions_grow_strictly(seed):
     rng = random.Random(seed)
     es = random_es(rng, "H")
-    for cfg in es.configurations():
-        for t in es.pomset_transitions(cfg):
-            assert t.target.mask & cfg.mask == cfg.mask
-            assert t.target.mask != cfg.mask
-            assert t.added_mask == t.target.mask & ~cfg.mask
+    masks = es.configuration_masks()
+    for mask in masks:
+        for x, target in es.transition_masks(mask, step=False):
+            assert target in masks
+            assert target & mask == mask
+            assert target != mask
+            assert x == target & ~mask

@@ -1,5 +1,5 @@
-"""Pomset isomorphism and matchings, cross-checked against permutation
-brute force."""
+"""Pomset isomorphism, matchings and matching extension, cross-checked
+against permutation brute force and against each other."""
 
 from __future__ import annotations
 
@@ -11,38 +11,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pesbisim import (
+    BisimulationKind,
     EventStructure,
-    ExtensionError,
+    Flavor,
     Matching,
-    Pomset,
+    Mode,
     ValidationError,
     enumerate_matchings,
-    pomsets_isomorphic,
 )
+from pesbisim.games import build_arena
+from pesbisim.oracle import Engine, hereditary_ok
 from pesbisim.pomsets import iso_masks
 
 from conftest import ch, par, random_es, seq, tau, tau_par
 
+HP_STRONG = BisimulationKind(Flavor.HP, Mode.STRONG)
+HP_BRANCHING = BisimulationKind(Flavor.HP, Mode.BRANCHING)
+HHP_STRONG = BisimulationKind(Flavor.HHP, Mode.STRONG)
 
-def brute_iso(es1, ev1, es2, ev2, erase: bool) -> bool:
+
+def brute_matchings(es1, ev1, es2, ev2, erase: bool) -> set[tuple[tuple[int, int], ...]]:
+    """Every label- and order-preserving bijection between the event
+    lists, as sorted index pairs, by trying all permutations."""
     if erase:
         ev1 = [e for e in ev1 if not es1.label(e).silent]
         ev2 = [e for e in ev2 if not es2.label(e).silent]
     if len(ev1) != len(ev2):
-        return False
+        return set()
+    out = set()
     for perm in itertools.permutations(ev2):
         pairs = list(zip(ev1, perm))
         if all(es1.label(a) == es2.label(b) for a, b in pairs) and all(
             es1.leq(a, c) == es2.leq(b, d) for a, b in pairs for c, d in pairs
         ):
-            return True
-    return False
+            out.add(tuple(sorted((es1.event_index(a), es2.event_index(b)) for a, b in pairs)))
+    return out
 
 
 def test_par_antichain_vs_ch_chain_not_isomorphic():
-    p1 = Pomset.of(par(), ["a", "b"])
-    p2 = Pomset.of(ch(), ["a1", "b1"])
-    assert not pomsets_isomorphic(p1, p2)
+    p, c = par(), ch()
+    assert not iso_masks(p, p.mask_of(["a", "b"]), c, c.mask_of(["a1", "b1"]), False)
 
 
 def test_iso_matches_brute_force():
@@ -55,7 +63,7 @@ def test_iso_matches_brute_force():
         c1 = rng.choice(cfgs1)
         c2 = rng.choice(cfgs2)
         for erase in (False, True):
-            expected = brute_iso(es1, list(c1.events), es2, list(c2.events), erase)
+            expected = bool(brute_matchings(es1, c1.events, es2, c2.events, erase))
             assert iso_masks(es1, c1.mask, es2, c2.mask, erase) == expected
 
 
@@ -64,24 +72,25 @@ def test_iso_is_equivalence_on_samples():
     pomsets = []
     for _ in range(12):
         es = random_es(rng, "E")
-        cfg = rng.choice(es.configurations())
-        pomsets.append(Pomset.of_configuration(cfg))
+        pomsets.append((es, rng.choice(es.configurations()).mask))
+
+    def iso(p, q):
+        return iso_masks(*p, *q, False)
+
     for p in pomsets:
-        assert pomsets_isomorphic(p, p)
+        assert iso(p, p)
     for p, q in itertools.combinations(pomsets, 2):
-        assert pomsets_isomorphic(p, q) == pomsets_isomorphic(q, p)
+        assert iso(p, q) == iso(q, p)
     for p, q, r in itertools.combinations(pomsets, 3):
-        if pomsets_isomorphic(p, q) and pomsets_isomorphic(q, r):
-            assert pomsets_isomorphic(p, r)
+        if iso(p, q) and iso(q, r):
+            assert iso(p, r)
 
 
 def test_silent_erasure_iso():
-    t = tau()
-    s = seq()
-    chain = Pomset.of(t, ["t", "a"])
-    just_a = Pomset.of(s, ["a"])
-    assert not pomsets_isomorphic(chain, just_a)
-    assert pomsets_isomorphic(chain, just_a, erase_silent=True)
+    t, s = tau(), seq()
+    chain, just_a = t.mask_of(["t", "a"]), s.mask_of(["a"])
+    assert not iso_masks(t, chain, s, just_a, False)
+    assert iso_masks(t, chain, s, just_a, True)
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +113,12 @@ def test_all_a_antichain_has_two_matchings():
     p = par()
     got = enumerate_matchings(p.configuration(["a", "b"]), p.configuration(["a", "b"]), weak=False)
     assert len(got) == 1
+    # and no bijection maps the antichain onto a chain of two a events,
+    # whichever way round the order is checked
+    chain = EventStructure("AC", [("u", "a"), ("v", "a")], [("u", "v")])
+    full_aa, full_chain = aa.configuration(["x", "y"]), chain.configuration(["u", "v"])
+    assert enumerate_matchings(full_aa, full_chain, weak=False) == ()
+    assert enumerate_matchings(full_chain, full_aa, weak=False) == ()
 
 
 def test_label_mismatch_has_no_matchings():
@@ -121,74 +136,83 @@ def test_enumerate_matches_iso():
         c1 = rng.choice(es1.configurations())
         c2 = rng.choice(es2.configurations())
         for weak in (False, True):
-            nonempty = bool(enumerate_matchings(c1, c2, weak=weak))
-            assert nonempty == iso_masks(es1, c1.mask, es2, c2.mask, weak)
+            got = {m.pairs for m in enumerate_matchings(c1, c2, weak=weak)}
+            assert got == brute_matchings(es1, c1.events, es2, c2.events, weak)
+            assert bool(got) == iso_masks(es1, c1.mask, es2, c2.mask, weak)
+
+
+# ----------------------------------------------------------------------
+# matching extension, as the engines run it
 
 
 def test_extend_identical_structures():
-    s1, s2 = seq(), seq()
-    empty = Matching.create(s1.empty_configuration(), s2.empty_configuration(), [], False)
-    one = empty.extend("a", "a")
-    assert one.pairs_by_name == (("a", "a"),)
-    two = one.extend("b", "b")
-    assert two.pairs_by_name == (("a", "a"), ("b", "b"))
+    s = seq()
+    eng = Engine(s, s, HP_STRONG)
+    a, b = s.event_index("a"), s.event_index("b")
+    assert eng.ext_ok((), a, a)
+    assert eng.ext_ok(((a, a),), b, b)
 
 
 def test_extend_across_structures():
-    left = ch()
-    right = seq()
-    m = Matching.create(left.configuration(["a1"]), right.configuration(["a"]), [("a1", "a")], False)
-    ext = m.extend("b1", "b")
-    assert ext.pairs_by_name == (("a1", "a"), ("b1", "b"))
+    left, right = ch(), seq()
+    eng = Engine(left, right, HP_STRONG)
+    pairs = ((left.event_index("a1"), right.event_index("a")),)
+    assert eng.ext_ok(pairs, left.event_index("b1"), right.event_index("b"))
+    assert not eng.ext_ok(pairs, left.event_index("b2"), right.event_index("b"))
 
 
 def test_extend_label_mismatch():
-    s1, s2 = seq(), seq()
-    empty = Matching.create(s1.empty_configuration(), s2.empty_configuration(), [], False)
-    with pytest.raises(ExtensionError) as err:
-        empty.extend("a", "b")
-    assert err.value.reason == "precondition"  # b alone is not a configuration
-    left = par()
-    empty = Matching.create(left.empty_configuration(), left.empty_configuration(), [], False)
-    with pytest.raises(ExtensionError) as err:
-        empty.extend("a", "b")
-    assert err.value.reason == "label-mismatch"
+    p = par()
+    eng = Engine(p, p, HP_STRONG)
+    assert not eng.ext_ok((), p.event_index("a"), p.event_index("b"))
+    # b alone is no configuration of SEQ, so it is never offered to extend
+    s = seq()
+    assert Engine(s, s, HP_STRONG).singles(2, 0) == (s.event_index("a"),)
 
 
 def test_extend_order_violation():
     left, right = par(), seq()
-    m = Matching.create(left.configuration(["a"]), right.configuration(["a"]), [("a", "a")], False)
-    with pytest.raises(ExtensionError) as err:
-        m.extend("b", "b")
-    assert err.value.reason == "order-violation"
+    eng = Engine(left, right, HP_STRONG)
+    pairs = ((left.event_index("a"), right.event_index("a")),)
+    assert not eng.ext_ok(pairs, left.event_index("b"), right.event_index("b"))
 
 
 def test_extend_precondition_breach():
-    s1, s2 = seq(), seq()
-    m = Matching.create(s1.configuration(["a"]), s2.configuration(["a"]), [("a", "a")], False)
-    with pytest.raises(ExtensionError) as err:
-        m.extend("a", "a")
-    assert err.value.reason == "precondition"
+    """Only events that extend the configuration are offered, so an event
+    already matched is never a candidate."""
+    s = seq()
+    eng = Engine(s, s, HP_STRONG)
+    a_mask = s.mask_of(["a"])
+    assert eng.singles(1, a_mask) == (s.event_index("b"),)
+    assert eng.singles(1, s.full_mask) == ()
+
+
+def _move(arena, pos, rule):
+    """The first move of the given rule at pos."""
+    return next(mv for mv in arena.moves[pos] if mv.rule == rule)
 
 
 def test_weak_extension_with_silent_event_keeps_pairs():
     t1, t2 = tau(), tau()
-    empty = Matching.create(t1.empty_configuration(), t2.empty_configuration(), [], True)
-    grown = empty.extend("t", "t")
-    assert grown.pairs == ()
-    assert grown.mask1 == t1.mask_of(["t"]) and grown.mask2 == t2.mask_of(["t"])
+    arena = build_arena(t1, t2, HP_BRANCHING)
+    t = t1.mask_of(["t"])
+    challenge = _move(arena, arena.initial, "spoiler-challenge-left").target
+    assert challenge.challenge.x_mask == t
+    answer = _move(arena, challenge, "duplicator-match").target
+    assert (answer.left, answer.pairs, answer.right) == (t, (), t)
 
 
 def test_grow_silent_one_side():
     t1, t2 = tau(), tau_par()
-    empty = Matching.create(t1.empty_configuration(), t2.empty_configuration(), [], True)
-    left_only = empty.grow_silent(1, "t")
-    assert left_only.mask1 == t1.mask_of(["t"]) and left_only.mask2 == 0
-    with pytest.raises(ExtensionError):
-        left_only.grow_silent(1, "t")  # already present
-    strong = Matching.create(t1.empty_configuration(), t2.empty_configuration(), [], False)
-    with pytest.raises(ExtensionError):
-        strong.grow_silent(1, "t")  # strong matchings never grow one-sided
+    arena = build_arena(t1, t2, HP_BRANCHING)
+    challenge = _move(arena, arena.initial, "spoiler-challenge-left").target
+    step = _move(arena, challenge, "duplicator-tau-step").target
+    assert (step.left, step.pairs, step.right) == (0, (), t2.mask_of(["t"]))
+    # strong matchings never grow one side alone
+    strong = build_arena(t1, t2, HP_STRONG)
+    assert all(
+        mv.rule != "duplicator-tau-step" for moves in strong.moves.values() for mv in moves
+    )
 
 
 def test_invalid_reasons():
@@ -210,63 +234,57 @@ def test_create_rejects_invalid():
         Matching.create(p.configuration(["a"]), p.configuration(["b"]), [("a", "b")], False)
 
 
+# ----------------------------------------------------------------------
+# hereditary closure: every restriction of a matching must be kept
+
+
 def test_containment():
-    s1, s2 = seq(), seq()
-    empty = Matching.create(s1.empty_configuration(), s2.empty_configuration(), [], False)
-    one = empty.extend("a", "a")
-    two = one.extend("b", "b")
-    assert empty.contained_in(one) and one.contained_in(two) and empty.contained_in(two)
-    assert not one.contained_in(empty)
-    assert one.contained_in(one)
-    with pytest.raises(ValidationError):
-        weak = Matching.create(s1.empty_configuration(), s2.empty_configuration(), [], True)
-        empty.contained_in(weak)
+    s = seq()
+    eng = Engine(s, s, HHP_STRONG)
+    a, b = s.event_index("a"), s.event_index("b")
+    empty = (0, (), 0)
+    one = (1 << a, ((a, a),), 1 << a)
+    two = (s.full_mask, ((a, a), (b, b)), s.full_mask)
+    assert hereditary_ok(eng, two, {empty, one, two})
+    assert not hereditary_ok(eng, two, {empty, two})
+    assert not hereditary_ok(eng, two, {one, two})
+    assert hereditary_ok(eng, one, {empty, one})
+    assert hereditary_ok(eng, empty, set())
 
 
 def test_containment_needs_pair_subset():
     aa = EventStructure("AA", [("x", "a"), ("y", "a")])
-    full = aa.configuration(["x", "y"])
-    idmap = Matching.create(full, full, [("x", "x"), ("y", "y")], False)
-    cross = Matching.create(full, full, [("x", "y"), ("y", "x")], False)
-    small = Matching.create(aa.configuration(["x"]), aa.configuration(["y"]), [("x", "y")], False)
-    assert small.contained_in(cross)
-    assert not small.contained_in(idmap)
+    eng = Engine(aa, aa, HHP_STRONG)
+    x, y = aa.event_index("x"), aa.event_index("y")
+    cross = (aa.full_mask, ((x, y), (y, x)), aa.full_mask)
+    cross_parts = {(1 << x, ((x, y),), 1 << y), (1 << y, ((y, x),), 1 << x), (0, (), 0)}
+    identity_parts = {(1 << x, ((x, x),), 1 << x), (1 << y, ((y, y),), 1 << y), (0, (), 0)}
+    assert hereditary_ok(eng, cross, cross_parts)
+    assert not hereditary_ok(eng, cross, identity_parts)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_extension_agrees_with_enumeration(seed):
-    """extend succeeds exactly when the extended pair set shows up among
-    the enumerated matchings of the extended configurations."""
+    """ext_ok accepts a pair exactly when the extended pair set is a
+    well-formed matching of the extended configurations, and exactly when
+    it shows up among their enumerated matchings."""
     rng = random.Random(seed)
     es1 = random_es(rng, "A")
     es2 = random_es(rng, "B")
+    eng = Engine(es1, es2, HP_STRONG)
     c1 = rng.choice(es1.configurations())
     c2 = rng.choice(es2.configurations())
     for m in enumerate_matchings(c1, c2, weak=False):
-        for i in range(len(es1.events)):
-            for j in range(len(es2.events)):
-                out = m.try_extend_idx(i, j)
-                m1 = c1.mask | 1 << i
-                m2 = c2.mask | 1 << j
-                if out is not None:
-                    assert out.invalid_reason() is None
-                    bigger = enumerate_matchings(
-                        es1.configuration(es1.events_of_mask(m1)),
-                        es2.configuration(es2.events_of_mask(m2)),
-                        weak=False,
-                    )
-                    assert out.pairs in {x.pairs for x in bigger}
-                elif (
-                    not c1.mask >> i & 1
-                    and not c2.mask >> j & 1
-                    and es1.is_configuration_mask(m1)
-                    and es2.is_configuration_mask(m2)
-                ):
-                    extended = tuple(sorted(m.pairs + ((i, j),)))
-                    bigger = enumerate_matchings(
-                        es1.configuration(es1.events_of_mask(m1)),
-                        es2.configuration(es2.events_of_mask(m2)),
-                        weak=False,
-                    )
-                    assert extended not in {x.pairs for x in bigger}
+        for i in es1.enabled(c1.mask):
+            for j in es2.enabled(c2.mask):
+                bigger = enumerate_matchings(
+                    es1.configuration(es1.events_of_mask(c1.mask | 1 << i)),
+                    es2.configuration(es2.events_of_mask(c2.mask | 1 << j)),
+                    weak=False,
+                )
+                extended = tuple(sorted(m.pairs + ((i, j),)))
+                grown = Matching(es1, es2, c1.mask | 1 << i, c2.mask | 1 << j, extended, False)
+                accepted = eng.ext_ok(m.pairs, i, j)
+                assert accepted == (grown.invalid_reason() is None)
+                assert accepted == (extended in {x.pairs for x in bigger})
