@@ -185,6 +185,14 @@ def test_single_engine_runs(capsys):
                 fx("par.pes"), fx("ch.pes"),
             ],
         ),
+        (
+            # pins the positions hereditary demotion marks (peripheries=2)
+            "arena_choice3_chain_hhp_strong.dot",
+            [
+                "export", "--what", "arena", "--rel", "hhp", "--mode", "strong",
+                fx("choice3.pes"), fx("chain.pes"),
+            ],
+        ),
     ],
 )
 def test_dot_exports_match_goldens(golden, argv, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from graphlib import TopologicalSorter
 
 import pytest
 
@@ -26,8 +27,22 @@ from pesbisim.games import (
     solve,
     solve_hereditary,
 )
+from pesbisim.oracle import Engine, hereditary_ok
 
-from conftest import ch, chain, choice3, halt_early, p0, pa, pa_noterm, par, random_es, seq
+from conftest import (
+    ch,
+    chain,
+    choice3,
+    fixture_pairs,
+    halt_early,
+    p0,
+    pa,
+    pa_noterm,
+    par,
+    random_es,
+    random_pairs,
+    seq,
+)
 
 POMSET_STRONG = BisimulationKind(Flavor.POMSET, Mode.STRONG)
 HHP_STRONG = BisimulationKind(Flavor.HHP, Mode.STRONG)
@@ -232,3 +247,62 @@ def test_hhp_arena_covers_every_matching():
         for c2 in cn.configurations():
             for m in enumerate_matchings(c1, c2, weak=False):
                 assert (m.mask1, m.pairs, m.mask2) in triples
+
+
+# ----------------------------------------------------------------------
+# reference solver: plain backward induction in topological order, and
+# hereditary demotion that re-solves the whole arena after every round
+
+
+def _reference_induct(arena, demoted):
+    deps = {p: {m.target for m in arena.moves[p]} for p in arena.positions}
+    winner, strategy = {}, {}
+    for pos in TopologicalSorter(deps).static_order():
+        if pos in demoted:
+            winner[pos] = Role.SPOILER
+            continue
+        owner = pos.owner
+        won = [m for m in arena.moves[pos] if winner[m.target] is owner]
+        winner[pos] = owner if won else owner.other()
+        if won:
+            strategy[pos] = won[0]
+    return winner, strategy
+
+
+def _reference_solve(arena):
+    """(winner, strategy, demoted) as the game's definition gives them."""
+    demoted = frozenset()
+    winner, strategy = _reference_induct(arena, demoted)
+    if arena.kind.flavor is not Flavor.HHP:
+        return winner, strategy, demoted
+    eng = Engine(arena.es1, arena.es2, arena.kind, arena.strong_tau_erasure)
+    spoiler_positions = [p for p in arena.positions if p.challenge is None]
+    while True:
+        won = [p for p in spoiler_positions if winner[p] is Role.DUPLICATOR]
+        alive = {arena.underlying_triple(p) for p in won}
+        newly = [p for p in won if not hereditary_ok(eng, arena.underlying_triple(p), alive)]
+        if not newly:
+            return winner, strategy, demoted
+        demoted = demoted | frozenset(newly)
+        winner, strategy = _reference_induct(arena, demoted)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        fixture_pairs(),
+        random_pairs(43, 40, max_events=5),
+        # one label: autoconcurrent events, where hereditary demotion fires
+        random_pairs(43, 40, max_events=5, alphabet="a"),
+    ],
+    ids=["fixtures", "random", "one-label"],
+)
+def test_solver_matches_reference(pairs):
+    for es1, es2 in pairs:
+        for kind in ALL_KINDS:
+            verdict = game_check(es1, es2, kind)
+            sol = verdict.solution
+            winner, strategy, demoted = _reference_solve(verdict.arena)
+            assert sol.winner == winner
+            assert sol.strategy == strategy
+            assert sol.demoted == demoted
