@@ -10,12 +10,19 @@ all-silent challenge, defer by one silent step of the answering side
 (dropping the challenge), or, for a termination challenge, move the
 answering side through silent events to a terminating configuration.
 Configurations only ever grow, so arenas are finite DAGs; a player with
-no move loses, which makes backward induction the solver.  The hereditary
-flavors judge games started at every matching, so their arenas seed a
-position per valid matching; the solver then demotes Duplicator-won
-positions whose matching has a synchronized shrinking with no
-Duplicator-won counterpart, re-solving with demoted positions as
-Spoiler-won sinks until a fixpoint.  A play reaching a demoted position
+no move loses.  The arena numbers its positions as it finds them, and
+the solver works on those ids alone, by retrograde counting (the
+attractor construction): starting from the stuck positions, a decided
+position decides each predecessor whose owner it favours, and counts
+down the undecided successors of the others, which their owner loses
+once none are left.  The hereditary flavors judge games started at
+every matching, so their arenas seed a position per valid matching; the
+solver then demotes Duplicator-won positions whose matching has a
+synchronized shrinking with no Duplicator-won counterpart to
+Spoiler-won sinks, and propagates only the Duplicator-to-Spoiler flips
+each demotion causes, with the same counters, until no demotion fires.
+Wins only ever move from Duplicator to Spoiler, so this gives what
+solving again from scratch would.  A play reaching a demoted position
 ends there; ``play_turn`` decides, for ``replay`` and the interactive
 ``play`` command alike, when a play ends, who wins and what the machine
 plays.
@@ -23,10 +30,8 @@ plays.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from graphlib import CycleError, TopologicalSorter
 from typing import Sequence
 
 from .errors import ArenaCycleError, CapExceededError, IllegalMoveError, ValidationError
@@ -80,7 +85,11 @@ class Move:
 
 
 class Arena:
-    """All positions reachable from the initial one, with their moves."""
+    """All positions reachable from the initial one, with their moves.
+
+    index gives each position its id, 0 to n-1 in insertion order, and
+    positions lists them by id.  succ[i] holds the ids of the targets of
+    positions[i]'s moves, in move order; it is all the solver reads."""
 
     def __init__(
         self,
@@ -88,16 +97,18 @@ class Arena:
         es2: EventStructure,
         kind: BisimulationKind,
         strong_tau_erasure: bool,
-        positions: tuple[GamePosition, ...],
+        index: dict[GamePosition, int],
         moves: dict[GamePosition, tuple[Move, ...]],
+        succ: Sequence[Sequence[int]],
     ):
         self.es1 = es1
         self.es2 = es2
         self.kind = kind
         self.strong_tau_erasure = strong_tau_erasure
-        self.positions = positions
+        self.index = index
+        self.positions = tuple(index)
         self.moves = moves
-        self.index = {p: i for i, p in enumerate(positions)}
+        self.succ = succ
 
     @property
     def initial(self) -> GamePosition:
@@ -156,9 +167,10 @@ class Arena:
 
 @dataclass
 class Solution:
-    """Backward-induction result: winner per position, the winner's
-    canonical move (lowest-index winning move) where they win, and the
-    positions demoted by hereditary pruning."""
+    """Solved arena: winner per position, the winner's canonical move
+    (lowest-index winning move) where they win, and the positions
+    demoted by hereditary pruning.  Both dicts list positions in arena
+    order."""
 
     winner: dict[GamePosition, Role]
     strategy: dict[GamePosition, Move]
@@ -176,37 +188,35 @@ def build_arena(
     """Breadth-first arena construction from the empty-configurations
     position, with deterministic move order."""
     eng = Engine(es1, es2, kind, strong_tau_erasure, caps)
-    posetal = kind.posetal
-    initial = GamePosition(False, 0, 0, () if posetal else None, None)
-    index: dict[GamePosition, int] = {initial: 0}
-    order: list[GamePosition] = [initial]
-    moves: dict[GamePosition, tuple[Move, ...]] = {}
-    queue: deque[GamePosition] = deque([initial])
-    limit = eng.caps.max_positions
-
-    def note(pos: GamePosition) -> None:
-        if pos not in index:
-            if len(index) >= limit:
-                raise CapExceededError("positions", limit, len(index) + 1)
-            index[pos] = len(order)
-            order.append(pos)
-            queue.append(pos)
-
+    seeds = [GamePosition(False, 0, 0, () if kind.posetal else None, None)]
     # The hereditary flavors judge games started at every matching, not just
     # those reachable from the empty one, so each valid triple is a position.
+    # triple_universe enforces the positions cap on these.
     if kind.flavor is Flavor.HHP:
-        for m1, prs, m2 in triple_universe(eng):
-            note(GamePosition(False, m1, m2, prs, None))
-
-    while queue:
-        pos = queue.popleft()
+        seeds += [GamePosition(False, m1, m2, prs, None) for m1, prs, m2 in triple_universe(eng)]
+    index = {pos: i for i, pos in enumerate(dict.fromkeys(seeds))}
+    order = list(index)
+    moves: dict[GamePosition, tuple[Move, ...]] = {}
+    succ: list[tuple[int, ...]] = []
+    limit = eng.caps.max_positions
+    # order is the queue: the loop also visits the positions appended to it
+    for pos in order:
         out = (
             _duplicator_moves(eng, pos) if pos.challenge is not None else _spoiler_moves(eng, pos)
         )
         moves[pos] = out
+        ids = []
         for mv in out:
-            note(mv.target)
-    return Arena(es1, es2, kind, strong_tau_erasure, tuple(order), moves)
+            i = index.get(mv.target)
+            if i is None:
+                i = len(order)
+                if i >= limit:
+                    raise CapExceededError("positions", limit, i + 1)
+                index[mv.target] = i
+                order.append(mv.target)
+            ids.append(i)
+        succ.append(tuple(ids))
+    return Arena(es1, es2, kind, strong_tau_erasure, index, moves, succ)
 
 
 def _side_ids(pos: GamePosition) -> tuple[int, int]:
@@ -326,67 +336,106 @@ def _duplicator_moves(eng: Engine, pos: GamePosition) -> tuple[Move, ...]:
     return tuple(out)
 
 
-def _induct(arena: Arena, demoted: frozenset[GamePosition]) -> Solution:
-    deps = {p: {m.target for m in arena.moves[p]} for p in arena.positions}
-    try:
-        order = list(TopologicalSorter(deps).static_order())
-    except CycleError as exc:  # pragma: no cover - arenas are DAGs by construction
-        raise ArenaCycleError("cycle detected in game arena") from exc
-    winner: dict[GamePosition, Role] = {}
+def _retrograde(arena: Arena) -> tuple[list[Role], list[Role], list[int], list[list[int]]]:
+    """Retrograde counting over the acyclic arena, by position id.
+
+    Returns the owner and the winner of each position, the predecessor
+    ids of each, and for each the number of its successors not won
+    against its owner.  That count is what the owner still has to play
+    for: while it stays above 0 an undecided position may yet be won by
+    its owner, and once everything is decided it is, for a Duplicator
+    position, the number of its Duplicator-won successors."""
+    succ = arena.succ
+    spoiler, duplicator = Role.SPOILER, Role.DUPLICATOR
+    owner = [spoiler if p.challenge is None else duplicator for p in arena.positions]
+    pred: list[list[int]] = [[] for _ in succ]
+    for i, out in enumerate(succ):
+        for j in out:
+            pred[j].append(i)
+    count = [len(out) for out in succ]
+    win: list[Role | None] = [None] * len(succ)
+    # a stuck player loses
+    queue = [i for i, c in enumerate(count) if not c]
+    for i in queue:
+        win[i] = spoiler if owner[i] is duplicator else duplicator
+    while queue:
+        j = queue.pop()
+        w = win[j]
+        for i in pred[j]:
+            if owner[i] is not w:
+                count[i] -= 1
+                if count[i]:
+                    continue
+            if win[i] is None:
+                win[i] = w
+                queue.append(i)
+    if None in win:
+        raise ArenaCycleError("cycle detected in game arena")
+    return owner, win, count, pred
+
+
+def _solution(arena: Arena, owner: list[Role], win: list[Role], demoted: list[int]) -> Solution:
+    """The Solution for the winner of each position id: each position won
+    by its owner, unless demoted, gets its lowest-index winning move."""
+    positions, succ = arena.positions, arena.succ
+    skip = set(demoted)
     strategy: dict[GamePosition, Move] = {}
-    for pos in order:
-        if pos in demoted:
-            winner[pos] = Role.SPOILER
-            continue
-        out = arena.moves[pos]
-        if pos.owner is Role.SPOILER:
-            if all(winner[m.target] is Role.DUPLICATOR for m in out):
-                winner[pos] = Role.DUPLICATOR
-            else:
-                winner[pos] = Role.SPOILER
-                strategy[pos] = next(m for m in out if winner[m.target] is Role.SPOILER)
-        else:
-            if any(winner[m.target] is Role.DUPLICATOR for m in out):
-                winner[pos] = Role.DUPLICATOR
-                strategy[pos] = next(m for m in out if winner[m.target] is Role.DUPLICATOR)
-            else:
-                winner[pos] = Role.SPOILER
-    return Solution(winner, strategy, demoted)
+    for i, pos in enumerate(positions):
+        w = win[i]
+        if w is owner[i] and i not in skip:
+            k = next(k for k, j in enumerate(succ[i]) if win[j] is w)
+            strategy[pos] = arena.moves[pos][k]
+    return Solution(
+        dict(zip(positions, win)), strategy, frozenset(positions[i] for i in demoted)
+    )
 
 
 def solve(arena: Arena) -> Solution:
-    """Backward induction over the acyclic arena: a stuck player loses."""
-    return _induct(arena, frozenset())
+    """Retrograde counting over the acyclic arena: a stuck player loses."""
+    owner, win, _, _ = _retrograde(arena)
+    return _solution(arena, owner, win, [])
 
 
 def solve_hereditary(arena: Arena) -> Solution:
-    """Backward induction refined by hereditary closure: a Duplicator-won
-    triple position whose matching has a synchronized shrinking with no
-    Duplicator-won counterpart is demoted to a Spoiler-won sink, and the
-    arena re-solved, until no demotion fires."""
+    """Retrograde counting refined by hereditary closure: a
+    Duplicator-won triple position whose matching has a synchronized
+    shrinking with no Duplicator-won counterpart is demoted to a
+    Spoiler-won sink, and the flips this causes are propagated to its
+    predecessors, until no demotion fires."""
     if not arena.kind.posetal:
         raise ValidationError("hereditary solving needs matching-carrying positions")
     eng = Engine(arena.es1, arena.es2, arena.kind, arena.strong_tau_erasure)
-    solution = solve(arena)
-    demoted: set[GamePosition] = set()
-    spoiler_positions = [p for p in arena.positions if p.challenge is None]
-    triples = {p: arena.underlying_triple(p) for p in spoiler_positions}
+    owner, win, count, pred = _retrograde(arena)
+    spoiler, duplicator = Role.SPOILER, Role.DUPLICATOR
+    triples = {
+        i: arena.underlying_triple(p) for i, p in enumerate(arena.positions) if p.challenge is None
+    }
+    won = [i for i in triples if win[i] is duplicator]
+    demoted: list[int] = []
     while True:
-        alive = {
-            triples[p]
-            for p in spoiler_positions
-            if solution.winner[p] is Role.DUPLICATOR
-        }
-        newly = [
-            p
-            for p in spoiler_positions
-            if solution.winner[p] is Role.DUPLICATOR
-            and not hereditary_ok(eng, triples[p], alive)
-        ]
+        alive = {triples[i] for i in won}
+        newly = [i for i in won if not hereditary_ok(eng, triples[i], alive)]
         if not newly:
-            return solution
-        demoted.update(newly)
-        solution = _induct(arena, frozenset(demoted))
+            return _solution(arena, owner, win, demoted)
+        demoted += newly
+        # Only Duplicator wins can flip, each once: a Spoiler position on
+        # its first Spoiler-won successor, a Duplicator position when its
+        # count of Duplicator-won successors reaches 0.
+        queue = list(newly)
+        for i in newly:
+            win[i] = spoiler
+        while queue:
+            j = queue.pop()
+            for i in pred[j]:
+                if win[i] is not duplicator:
+                    continue
+                if owner[i] is duplicator:
+                    count[i] -= 1
+                    if count[i]:
+                        continue
+                win[i] = spoiler
+                queue.append(i)
+        won = [i for i in won if win[i] is duplicator]
 
 
 @dataclass
@@ -409,13 +458,7 @@ class GameVerdict:
     def strategy_moves(self) -> list[tuple[GamePosition, Move]]:
         """The winner's chosen moves, in arena position order."""
         win = self.winner
-        out = []
-        for pos in self.arena.positions:
-            if pos.owner is win and self.solution.winner.get(pos) is win:
-                mv = self.solution.strategy.get(pos)
-                if mv is not None:
-                    out.append((pos, mv))
-        return out
+        return [(pos, mv) for pos, mv in self.solution.strategy.items() if pos.owner is win]
 
 
 def game_check(

@@ -10,6 +10,7 @@ import pytest
 
 from pesbisim import (
     ALL_KINDS,
+    ArenaCycleError,
     BisimulationKind,
     Flavor,
     IllegalMoveError,
@@ -18,8 +19,10 @@ from pesbisim import (
     check,
 )
 from pesbisim.games import (
+    Arena,
     Challenge,
     GamePosition,
+    Move,
     Role,
     build_arena,
     game_check,
@@ -178,6 +181,28 @@ def test_replay_rejects_bad_moves():
         replay(a, sol, Role.SPOILER, [])
     with pytest.raises(IllegalMoveError):
         replay(a, sol, Role.SPOILER, [99])
+
+
+def test_solve_rejects_cyclic_arena():
+    """Arenas built from structures are acyclic; a hand-built cycle leaves
+    both positions undecided, which the solver reports."""
+    es = pa()
+    spoiler = GamePosition(False, 0, 0, None, None)
+    duplicator = GamePosition(False, 0, 0, None, Challenge("transition", 1, 1))
+    arena = Arena(
+        es,
+        es,
+        POMSET_STRONG,
+        False,
+        {spoiler: 0, duplicator: 1},
+        {
+            spoiler: (Move("spoiler-challenge-left", duplicator),),
+            duplicator: (Move("duplicator-match", spoiler),),
+        },
+        [(1,), (0,)],
+    )
+    with pytest.raises(ArenaCycleError):
+        solve(arena)
 
 
 def test_hereditary_solving_needs_matchings():
