@@ -109,19 +109,22 @@ def random_es(
     alphabet: str = "abc",
     tau_prob: float = 0.2,
 ) -> EventStructure:
-    """A valid random structure: sparse causes among earlier events,
-    conflicts only between events with no common causal successor (a
-    declared conflict below a join would contradict hereditary closure)."""
+    """A valid random structure: sparse causes along a seeded permutation
+    of the events, so causality runs against declaration order as often
+    as with it, and conflicts only between events with no common causal
+    successor (a declared conflict below a join would contradict
+    hereditary closure)."""
     n = rng.randint(0, max_events)
     events = [
         (f"e{i}", "tau" if rng.random() < tau_prob else rng.choice(alphabet))
         for i in range(n)
     ]
+    perm = rng.sample(range(n), n)
     causes = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    for a in range(n):
+        for b in range(a + 1, n):
             if rng.random() < 0.25:
-                causes.append((f"e{i}", f"e{j}"))
+                causes.append((f"e{perm[a]}", f"e{perm[b]}"))
     below: list[set[int]] = []
     for j in range(n):
         seen = {j}

@@ -70,10 +70,12 @@ def build_pair(rng: random.Random):
     built from, for independent recomputation."""
     n = rng.randint(0, 6)
     labels = ["tau" if rng.random() < 0.25 else rng.choice("ab") for _ in range(n)]
+    # causes follow a seeded permutation, not declaration order
+    perm = rng.sample(range(n), n)
     causes = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
+        (perm[a], perm[b])
+        for a in range(n)
+        for b in range(a + 1, n)
         if rng.random() < 0.3
     ]
     leq = naive_leq(n, causes)
