@@ -318,7 +318,7 @@ def _reference_solve(arena):
         fixture_pairs(),
         random_pairs(43, 40, max_events=5),
         # one label: autoconcurrent events, where hereditary demotion fires
-        random_pairs(43, 40, max_events=5, alphabet="a"),
+        random_pairs(44, 80, max_events=5, alphabet="a"),
     ],
     ids=["fixtures", "random", "one-label"],
 )
