@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import ValidationError
 from .pes import Configuration, EventStructure, bits
 
 Pairs = tuple[tuple[int, int], ...]
@@ -99,26 +98,6 @@ class Matching:
     mask2: int
     pairs: Pairs
     weak: bool
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def create(
-        cls,
-        c1: Configuration,
-        c2: Configuration,
-        pairs_by_name: tuple[tuple[str, str], ...] | list[tuple[str, str]],
-        weak: bool,
-    ) -> Matching:
-        """Validating constructor from event-name pairs."""
-        pairs = tuple(
-            sorted((c1.owner.event_index(a), c2.owner.event_index(b)) for a, b in pairs_by_name)
-        )
-        m = cls(c1.owner, c2.owner, c1.mask, c2.mask, pairs, weak)
-        reason = m.invalid_reason()
-        if reason:
-            raise ValidationError(reason)
-        return m
 
     def invalid_reason(self) -> str | None:
         """None when well-formed, else a description of the violation."""

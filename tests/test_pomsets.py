@@ -15,9 +15,10 @@ from pesbisim import (
     EventStructure,
     Flavor,
     Matching,
+    MalformedWitnessError,
     Mode,
-    ValidationError,
     enumerate_matchings,
+    verify_witness,
 )
 from pesbisim.games import build_arena
 from pesbisim.oracle import Engine, hereditary_ok
@@ -217,7 +218,8 @@ def test_grow_silent_one_side():
 
 def test_invalid_reasons():
     s = seq()
-    good = Matching.create(s.configuration(["a"]), s.configuration(["a"]), [("a", "a")], False)
+    a = s.event_index("a")
+    good = Matching(s, s, 1 << a, 1 << a, ((a, a),), False)
     assert good.invalid_reason() is None
     not_bijective = Matching(s, s, good.mask1, good.mask2, (), False)
     assert "bijection" in not_bijective.invalid_reason()
@@ -228,10 +230,11 @@ def test_invalid_reasons():
     assert "outside" in outside.invalid_reason()
 
 
-def test_create_rejects_invalid():
+def test_verify_witness_rejects_invalid_matching():
     p = par()
-    with pytest.raises(ValidationError):
-        Matching.create(p.configuration(["a"]), p.configuration(["b"]), [("a", "b")], False)
+    mismatch = Matching(p, p, p.mask_of(["a"]), p.mask_of(["b"]), ((0, 1),), False)
+    with pytest.raises(MalformedWitnessError, match="label mismatch"):
+        verify_witness(p, p, HP_STRONG, [mismatch])
 
 
 # ----------------------------------------------------------------------
