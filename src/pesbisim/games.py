@@ -414,9 +414,11 @@ def solve_hereditary(arena: Arena) -> Solution:
     demoted: list[int] = []
     while True:
         alive = {triples[i] for i in won}
-        newly = [i for i in won if not hereditary_ok(eng, triples[i], alive)]
-        if not newly:
+        # both orientations of a matching share its triple: check it once
+        broken = {t for t in alive if not hereditary_ok(eng, t, alive)}
+        if not broken:
             return _solution(arena, owner, win, demoted)
+        newly = [i for i in won if triples[i] in broken]
         demoted += newly
         # Only Duplicator wins can flip, each once: a Spoiler position on
         # its first Spoiler-won successor, a Duplicator position when its
