@@ -89,7 +89,8 @@ class Arena:
 
     index gives each position its id, 0 to n-1 in insertion order, and
     positions lists them by id.  succ[i] holds the ids of the targets of
-    positions[i]'s moves, in move order; it is all the solver reads."""
+    positions[i]'s moves, in move order; the solver walks the arena
+    through these ids."""
 
     def __init__(
         self,
