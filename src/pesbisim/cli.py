@@ -177,7 +177,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         summary = {
             "kind": "strategy",
             "winner": game_verdict.winner.value,
-            "moves": len(game_verdict.strategy_moves()),
+            "moves": game_verdict.strategy_size(),
         }
     else:
         summary = {"kind": "none"}

@@ -10,8 +10,11 @@ all-silent challenge, defer by one silent step of the answering side
 (dropping the challenge), or, for a termination challenge, move the
 answering side through silent events to a terminating configuration.
 Configurations only ever grow, so arenas are finite DAGs; a player with
-no move loses.  The arena numbers its positions as it finds them, and
-the solver works on those ids alone, by retrograde counting (the
+no move loses.  The builder explores positions as plain tuple keys and
+answers a pomset or step challenge from the answering side's
+transitions grouped by isomorphism class.  The arena numbers its
+positions as it finds them, and the solver works on those ids alone,
+by retrograde counting (the
 attractor construction): starting from the stuck positions, a decided
 position decides each predecessor whose owner it favours, and counts
 down the undecided successors of the others, which their owner loses
@@ -25,20 +28,26 @@ Wins only ever move from Duplicator to Spoiler, so this gives what
 solving again from scratch would.  A play reaching a demoted position
 ends there; ``play_turn`` decides, for ``replay`` and the interactive
 ``play`` command alike, when a play ends, who wins and what the machine
-plays.
+plays.  The ``GamePosition`` and ``Move`` objects that plays, strategies
+and exports are told in are views of the keys and ids, built on first
+access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .errors import ArenaCycleError, CapExceededError, IllegalMoveError, ValidationError
 from .kinds import BisimulationKind, Flavor
 from .oracle import Engine, hereditary_ok, triple_universe
 from .pes import Caps, EventStructure
 from .pomsets import Pairs
+
+
+Key = tuple  # a position as the fields of GamePosition; see Arena
 
 
 class Role(Enum):
@@ -87,29 +96,48 @@ class Move:
 class Arena:
     """All positions reachable from the initial one, with their moves.
 
-    index gives each position its id, 0 to n-1 in insertion order, and
-    positions lists them by id.  succ[i] holds the ids of the targets of
-    positions[i]'s moves, in move order; the solver walks the arena
-    through these ids."""
+    Position i, numbered in insertion order from 0, is keys[i], a plain
+    tuple (swapped, left, right, pairs, challenge) whose challenge is None
+    or (kind, x_mask, target_mask).  succ[i] holds the ids of the targets
+    of its moves and rules[i] the moves' rule names, in move order; the
+    builder and the solver work on these alone.  The object views,
+    positions (a GamePosition per id), index (its inverse) and moves
+    (each position's Move tuple), are built on first access."""
 
     def __init__(
         self,
-        es1: EventStructure,
-        es2: EventStructure,
-        kind: BisimulationKind,
-        strong_tau_erasure: bool,
-        index: dict[GamePosition, int],
-        moves: dict[GamePosition, tuple[Move, ...]],
+        engine: Engine,
+        keys: Sequence[Key],
+        rules: Sequence[Sequence[str]],
         succ: Sequence[Sequence[int]],
     ):
-        self.es1 = es1
-        self.es2 = es2
-        self.kind = kind
-        self.strong_tau_erasure = strong_tau_erasure
-        self.index = index
-        self.positions = tuple(index)
-        self.moves = moves
+        self.engine = engine
+        self.es1 = engine.es1
+        self.es2 = engine.es2
+        self.kind = engine.kind
+        self.strong_tau_erasure = engine.strong_tau_erasure
+        self.keys = keys
+        self.rules = rules
         self.succ = succ
+
+    @cached_property
+    def positions(self) -> tuple[GamePosition, ...]:
+        return tuple(
+            GamePosition(sw, left, right, pairs, ch if ch is None else Challenge(*ch))
+            for sw, left, right, pairs, ch in self.keys
+        )
+
+    @cached_property
+    def index(self) -> dict[GamePosition, int]:
+        return {pos: i for i, pos in enumerate(self.positions)}
+
+    @cached_property
+    def moves(self) -> dict[GamePosition, tuple[Move, ...]]:
+        positions = self.positions
+        return {
+            pos: tuple(Move(rule, positions[j]) for rule, j in zip(rules, out))
+            for pos, rules, out in zip(positions, self.rules, self.succ)
+        }
 
     @property
     def initial(self) -> GamePosition:
@@ -166,16 +194,50 @@ class Arena:
         return f"answer with Y={es_r.format_mask(added)}"
 
 
-@dataclass
 class Solution:
-    """Solved arena: winner per position, the winner's canonical move
-    (lowest-index winning move) where they win, and the positions
-    demoted by hereditary pruning.  Both dicts list positions in arena
-    order."""
+    """Solved arena: win[i] is the winner of position i, and demoted_ids
+    the positions demoted by hereditary pruning.  The object views,
+    winner (the winner per position), strategy (the canonical move,
+    lowest-index winning move, of each position won by its owner and not
+    demoted) and demoted, are built on first access; both dicts list
+    positions in arena order."""
 
-    winner: dict[GamePosition, Role]
-    strategy: dict[GamePosition, Move]
-    demoted: frozenset[GamePosition] = frozenset()
+    def __init__(self, arena: Arena, win: Sequence[Role], demoted_ids: Sequence[int] = ()):
+        self.arena = arena
+        self.win = win
+        self.demoted_ids = demoted_ids
+
+    def strategy_ids(self) -> list[int]:
+        """Ids of the positions where the strategy picks a move, in arena
+        order: those won by their owner and not demoted."""
+        skip = set(self.demoted_ids)
+        spoiler = Role.SPOILER
+        return [
+            i
+            for i, (key, w) in enumerate(zip(self.arena.keys, self.win))
+            if (key[4] is None) == (w is spoiler) and i not in skip
+        ]
+
+    @cached_property
+    def winner(self) -> dict[GamePosition, Role]:
+        return dict(zip(self.arena.positions, self.win))
+
+    @cached_property
+    def strategy(self) -> dict[GamePosition, Move]:
+        arena, win = self.arena, self.win
+        positions, rules, succ = arena.positions, arena.rules, arena.succ
+        out = {}
+        for i in self.strategy_ids():
+            k = next(k for k, j in enumerate(succ[i]) if win[j] is win[i])
+            out[positions[i]] = Move(rules[i][k], positions[succ[i][k]])
+        return out
+
+    @cached_property
+    def demoted(self) -> frozenset[GamePosition]:
+        return frozenset(self.arena.positions[i] for i in self.demoted_ids)
+
+
+_TERMINATION = ("termination", 0, 0)
 
 
 def build_arena(
@@ -189,152 +251,114 @@ def build_arena(
     """Breadth-first arena construction from the empty-configurations
     position, with deterministic move order."""
     eng = Engine(es1, es2, kind, strong_tau_erasure, caps)
-    seeds = [GamePosition(False, 0, 0, () if kind.posetal else None, None)]
+    keys: list[Key] = [(False, 0, 0, () if kind.posetal else None, None)]
     # The hereditary flavors judge games started at every matching, not just
     # those reachable from the empty one, so each valid triple is a position.
     # triple_universe enforces the positions cap on these.
     if kind.flavor is Flavor.HHP:
-        seeds += [GamePosition(False, m1, m2, prs, None) for m1, prs, m2 in triple_universe(eng)]
-    index = {pos: i for i, pos in enumerate(dict.fromkeys(seeds))}
-    order = list(index)
-    moves: dict[GamePosition, tuple[Move, ...]] = {}
+        keys += [(False, m1, m2, prs, None) for m1, prs, m2 in triple_universe(eng)]
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    keys = list(index)
+    rules: list[tuple[str, ...]] = []
     succ: list[tuple[int, ...]] = []
+    moves = _game_moves(eng)
     limit = eng.caps.max_positions
-    # order is the queue: the loop also visits the positions appended to it
-    for pos in order:
-        out = (
-            _duplicator_moves(eng, pos) if pos.challenge is not None else _spoiler_moves(eng, pos)
-        )
-        moves[pos] = out
+    # keys is the queue: the loop also visits the positions appended to it
+    for key in keys:
+        names = []
         ids = []
-        for mv in out:
-            i = index.get(mv.target)
+        for rule, target in moves(key):
+            i = index.get(target)
             if i is None:
-                i = len(order)
+                i = len(keys)
                 if i >= limit:
                     raise CapExceededError("positions", limit, i + 1)
-                index[mv.target] = i
-                order.append(mv.target)
+                index[target] = i
+                keys.append(target)
+            names.append(rule)
             ids.append(i)
+        rules.append(tuple(names))
         succ.append(tuple(ids))
-    return Arena(es1, es2, kind, strong_tau_erasure, index, moves, succ)
+    return Arena(eng, keys, rules, succ)
 
 
-def _side_ids(pos: GamePosition) -> tuple[int, int]:
-    """Engine side numbers (1 = first structure) for (left, right)."""
-    return (2, 1) if pos.swapped else (1, 2)
+def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
+    """The game's moves from a position key, as (rule, target key) in move
+    order.  Duplicator answers a pomset or step challenge from a table, per
+    answering side and configuration, of its transitions by isomorphism
+    class."""
+    posetal, branching = eng.kind.posetal, eng.branching
+    silent = (0, eng.es1.silent_mask, eng.es2.silent_mask)
+    singles, trans, terminates = eng.singles, eng.trans, eng.terminates
+    iso_class = eng.iso_class
+    answers: dict[tuple[int, int], dict[int, list[int]]] = {}
 
-
-def _spoiler_moves(eng: Engine, pos: GamePosition) -> tuple[Move, ...]:
-    sl, sr = _side_ids(pos)
-    out: list[Move] = []
-    if eng.kind.posetal:
-        left_trans = [(1 << e, pos.left | 1 << e) for e in eng.singles(sl, pos.left)]
-        right_trans = [(1 << e, pos.right | 1 << e) for e in eng.singles(sr, pos.right)]
-    else:
-        left_trans = list(eng.trans(sl, pos.left))
-        right_trans = list(eng.trans(sr, pos.right))
-    for x, t in left_trans:
-        out.append(
-            Move(
-                "spoiler-challenge-left",
-                GamePosition(pos.swapped, pos.left, pos.right, pos.pairs, Challenge("transition", x, t)),
-            )
-        )
-    for y, t in right_trans:
-        out.append(
-            Move(
-                "spoiler-challenge-right",
-                GamePosition(not pos.swapped, pos.right, pos.left, pos.pairs, Challenge("transition", y, t)),
-            )
-        )
-    if eng.branching:
-        if eng.terminates(sl, pos.left) and not eng.terminates(sr, pos.right):
-            out.append(
-                Move(
-                    "spoiler-termination-challenge",
-                    GamePosition(pos.swapped, pos.left, pos.right, pos.pairs, Challenge("termination")),
-                )
-            )
-        if eng.terminates(sr, pos.right) and not eng.terminates(sl, pos.left):
-            out.append(
-                Move(
-                    "spoiler-termination-challenge",
-                    GamePosition(not pos.swapped, pos.right, pos.left, pos.pairs, Challenge("termination")),
-                )
-            )
-    return tuple(out)
-
-
-def _normalized_pair(pos: GamePosition, e_left: int, e_right: int) -> tuple[int, int]:
-    return (e_right, e_left) if pos.swapped else (e_left, e_right)
-
-
-def _duplicator_moves(eng: Engine, pos: GamePosition) -> tuple[Move, ...]:
-    assert pos.challenge is not None
-    sl, sr = _side_ids(pos)
-    es_l = eng.es1 if sl == 1 else eng.es2
-    es_r = eng.es1 if sr == 1 else eng.es2
-    ch = pos.challenge
-    out: list[Move] = []
-    if ch.kind == "termination":
-        for m0 in eng.tau_reach(sr, pos.right):
-            if m0 != pos.right and eng.terminates(sr, m0):
-                out.append(
-                    Move("duplicator-match", GamePosition(pos.swapped, pos.left, m0, pos.pairs, None))
-                )
-        return tuple(out)
-    if eng.branching and not ch.x_mask & ~es_l.silent_mask:
-        out.append(
-            Move(
-                "duplicator-absorb-tau",
-                GamePosition(pos.swapped, ch.target_mask, pos.right, pos.pairs, None),
-            )
-        )
-    if eng.kind.posetal:
-        assert pos.pairs is not None
-        e1 = ch.x_mask.bit_length() - 1
-        challenge_silent = bool(es_l.silent_mask >> e1 & 1)
-        for e2 in eng.singles(sr, pos.right):
-            if eng.branching and challenge_silent:
-                # Weak matchings leave silent events unmatched, so a silent
-                # answer grows both sides without touching the bijection.
-                if not es_r.silent_mask >> e2 & 1:
-                    continue
-                new_pairs = pos.pairs
+    def moves(key: Key) -> list[tuple[str, Key]]:
+        sw, left, right, pairs, ch = key
+        sl, sr = (2, 1) if sw else (1, 2)
+        if ch is None:
+            if posetal:
+                left_trans = [(1 << e, left | 1 << e) for e in singles(sl, left)]
+                right_trans = [(1 << e, right | 1 << e) for e in singles(sr, right)]
             else:
-                n1, n2 = _normalized_pair(pos, e1, e2)
-                if not eng.ext_ok(pos.pairs, n1, n2):
-                    continue
-                new_pairs = tuple(sorted(pos.pairs + ((n1, n2),)))
-            out.append(
-                Move(
-                    "duplicator-match",
-                    GamePosition(
-                        pos.swapped, ch.target_mask, pos.right | 1 << e2, new_pairs, None
-                    ),
-                )
-            )
-    else:
-        for y, t in eng.trans(sr, pos.right):
-            x_cmp, y_cmp = (y, ch.x_mask) if pos.swapped else (ch.x_mask, y)
-            if eng.iso(x_cmp, y_cmp):
-                out.append(
-                    Move(
-                        "duplicator-match",
-                        GamePosition(pos.swapped, ch.target_mask, t, pos.pairs, None),
-                    )
-                )
-    if eng.branching:
-        for e in eng.singles(sr, pos.right):
-            if es_r.silent_mask >> e & 1:
-                out.append(
-                    Move(
-                        "duplicator-tau-step",
-                        GamePosition(pos.swapped, pos.left, pos.right | 1 << e, pos.pairs, None),
-                    )
-                )
-    return tuple(out)
+                left_trans, right_trans = trans(sl, left), trans(sr, right)
+            out = [
+                ("spoiler-challenge-left", (sw, left, right, pairs, ("transition", x, t)))
+                for x, t in left_trans
+            ]
+            out += [
+                ("spoiler-challenge-right", (not sw, right, left, pairs, ("transition", y, t)))
+                for y, t in right_trans
+            ]
+            if branching and (ends := terminates(sl, left)) != terminates(sr, right):
+                # the side that terminates alone is challenged, as the left one
+                turned = (sw, left, right) if ends else (not sw, right, left)
+                out.append(("spoiler-termination-challenge", (*turned, pairs, _TERMINATION)))
+            return out
+        challenge, x, target = ch
+        if challenge == "termination":
+            return [
+                ("duplicator-match", (sw, left, m0, pairs, None))
+                for m0 in eng.tau_reach(sr, right)
+                if m0 != right and terminates(sr, m0)
+            ]
+        out = []
+        if branching and not x & ~silent[sl]:
+            out.append(("duplicator-absorb-tau", (sw, target, right, pairs, None)))
+        if not posetal:
+            table = answers.get((sr, right))
+            if table is None:
+                table = answers[sr, right] = {}
+                for y, t in trans(sr, right):
+                    table.setdefault(iso_class(sr, y), []).append(t)
+            out += [
+                ("duplicator-match", (sw, target, t, pairs, None))
+                for t in table.get(iso_class(sl, x), ())
+            ]
+        elif branching and x & silent[sl]:
+            # Weak matchings leave silent events unmatched, so a silent
+            # answer grows both sides without touching the bijection.
+            out += [
+                ("duplicator-match", (sw, target, right | 1 << e2, pairs, None))
+                for e2 in singles(sr, right)
+                if silent[sr] >> e2 & 1
+            ]
+        else:
+            e1 = x.bit_length() - 1
+            for e2 in singles(sr, right):
+                n1, n2 = (e2, e1) if sw else (e1, e2)
+                if eng.ext_ok(pairs, n1, n2):
+                    new_pairs = tuple(sorted(pairs + ((n1, n2),)))
+                    out.append(("duplicator-match", (sw, target, right | 1 << e2, new_pairs, None)))
+        if branching:
+            out += [
+                ("duplicator-tau-step", (sw, left, right | 1 << e, pairs, None))
+                for e in singles(sr, right)
+                if silent[sr] >> e & 1
+            ]
+        return out
+
+    return moves
 
 
 def _retrograde(arena: Arena) -> tuple[list[Role], list[Role], list[int], list[list[int]]]:
@@ -348,7 +372,7 @@ def _retrograde(arena: Arena) -> tuple[list[Role], list[Role], list[int], list[l
     position, the number of its Duplicator-won successors."""
     succ = arena.succ
     spoiler, duplicator = Role.SPOILER, Role.DUPLICATOR
-    owner = [spoiler if p.challenge is None else duplicator for p in arena.positions]
+    owner = [spoiler if key[4] is None else duplicator for key in arena.keys]
     pred: list[list[int]] = [[] for _ in succ]
     for i, out in enumerate(succ):
         for j in out:
@@ -375,26 +399,10 @@ def _retrograde(arena: Arena) -> tuple[list[Role], list[Role], list[int], list[l
     return owner, win, count, pred
 
 
-def _solution(arena: Arena, owner: list[Role], win: list[Role], demoted: list[int]) -> Solution:
-    """The Solution for the winner of each position id: each position won
-    by its owner, unless demoted, gets its lowest-index winning move."""
-    positions, succ = arena.positions, arena.succ
-    skip = set(demoted)
-    strategy: dict[GamePosition, Move] = {}
-    for i, pos in enumerate(positions):
-        w = win[i]
-        if w is owner[i] and i not in skip:
-            k = next(k for k, j in enumerate(succ[i]) if win[j] is w)
-            strategy[pos] = arena.moves[pos][k]
-    return Solution(
-        dict(zip(positions, win)), strategy, frozenset(positions[i] for i in demoted)
-    )
-
-
 def solve(arena: Arena) -> Solution:
     """Retrograde counting over the acyclic arena: a stuck player loses."""
-    owner, win, _, _ = _retrograde(arena)
-    return _solution(arena, owner, win, [])
+    _, win, _, _ = _retrograde(arena)
+    return Solution(arena, win)
 
 
 def solve_hereditary(arena: Arena) -> Solution:
@@ -405,11 +413,13 @@ def solve_hereditary(arena: Arena) -> Solution:
     predecessors, until no demotion fires."""
     if not arena.kind.posetal:
         raise ValidationError("hereditary solving needs matching-carrying positions")
-    eng = Engine(arena.es1, arena.es2, arena.kind, arena.strong_tau_erasure)
+    eng = arena.engine
     owner, win, count, pred = _retrograde(arena)
     spoiler, duplicator = Role.SPOILER, Role.DUPLICATOR
     triples = {
-        i: arena.underlying_triple(p) for i, p in enumerate(arena.positions) if p.challenge is None
+        i: (right, pairs, left) if sw else (left, pairs, right)
+        for i, (sw, left, right, pairs, ch) in enumerate(arena.keys)
+        if ch is None
     }
     won = [i for i in triples if win[i] is duplicator]
     demoted: list[int] = []
@@ -418,7 +428,7 @@ def solve_hereditary(arena: Arena) -> Solution:
         # both orientations of a matching share its triple: check it once
         broken = {t for t in alive if not hereditary_ok(eng, t, alive)}
         if not broken:
-            return _solution(arena, owner, win, demoted)
+            return Solution(arena, win, demoted)
         newly = [i for i in won if triples[i] in broken]
         demoted += newly
         # Only Duplicator wins can flip, each once: a Spoiler position on
@@ -452,11 +462,17 @@ class GameVerdict:
 
     @property
     def winner(self) -> Role:
-        return self.solution.winner[self.arena.initial]
+        return self.solution.win[0]
 
     @property
     def equivalent(self) -> bool:
         return self.winner is Role.DUPLICATOR
+
+    def strategy_size(self) -> int:
+        """The number of the winner's chosen moves, len(strategy_moves()),
+        counted without building position objects."""
+        win = self.solution.win
+        return sum(1 for i in self.solution.strategy_ids() if win[i] is win[0])
 
     def strategy_moves(self) -> list[tuple[GamePosition, Move]]:
         """The winner's chosen moves, in arena position order."""

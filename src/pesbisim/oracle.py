@@ -36,8 +36,8 @@ from typing import Callable, Iterable, TypeVar
 
 from .errors import CapExceededError, MalformedWitnessError
 from .kinds import BisimulationKind, Flavor
-from .pes import Caps, Configuration, EventStructure
-from .pomsets import Matching, Pairs, enumerate_matchings, extends, iso_masks
+from .pes import Caps, Configuration, EventStructure, bits
+from .pomsets import Matching, Pairs, enumerate_matchings, extends, iso_masks, signature
 
 PairKey = tuple[int, int]
 TripleKey = tuple[int, Pairs, int]
@@ -92,10 +92,13 @@ class Engine:
         self.es2 = es2
         self.kind = kind
         self.caps = caps or es1.caps
+        self.strong_tau_erasure = strong_tau_erasure
         self.step = kind.step_moves
         self.branching = kind.branching
         self.erase = True if self.branching else strong_tau_erasure
-        self._iso_cache: dict = {}
+        self._iso_cache: dict[tuple[int, int], bool] = {}
+        self._classes: dict[tuple[int, int], int] = {}
+        self._class_reps: dict[tuple, list[tuple[int, int, int]]] = {}
 
     def trans(self, side: int, mask: int) -> tuple[tuple[int, int], ...]:
         es = self.es1 if side == 1 else self.es2
@@ -106,15 +109,31 @@ class Engine:
         return es.enabled(mask)
 
     def iso(self, x1: int, x2: int) -> bool:
-        if self.erase:
-            x1 &= ~self.es1.silent_mask
-            x2 &= ~self.es2.silent_mask
         key = (x1, x2)
         hit = self._iso_cache.get(key)
         if hit is None:
-            hit = iso_masks(self.es1, x1, self.es2, x2, False)
-            self._iso_cache[key] = hit
+            hit = self._iso_cache[key] = self.iso_class(1, x1) == self.iso_class(2, x2)
         return hit
+
+    def iso_class(self, side: int, mask: int) -> int:
+        """The isomorphism class id of a pomset of one side, silent events
+        erased first when erase is set: the index, among the masks of
+        either side classified so far, of the first one isomorphic to it."""
+        es = self.es1 if side == 1 else self.es2
+        if self.erase:
+            mask &= ~es.silent_mask
+        cid = self._classes.get((side, mask))
+        if cid is None:
+            reps = self._class_reps.setdefault(signature(es, bits(mask)), [])
+            for rep, rep_side, rep_mask in reps:
+                if iso_masks(self.es1 if rep_side == 1 else self.es2, rep_mask, es, mask, False):
+                    cid = rep
+                    break
+            else:
+                cid = len(self._classes)
+                reps.append((cid, side, mask))
+            self._classes[side, mask] = cid
+        return cid
 
     def silent(self, side: int, e: int) -> bool:
         es = self.es1 if side == 1 else self.es2
@@ -306,56 +325,43 @@ def hereditary_ok(eng: Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
     Shrinking restricts one side to a smaller configuration and keeps only
     the pairs whose events survive.  In strong mode the other side is forced
     to the image of the restriction, which is again a configuration because
-    the matching preserves order both ways.  In weak mode the pairs pin down
-    only the visible image, so the obligation is discharged as soon as one
-    completion of that image by silent events of the other side is alive."""
+    the matching preserves order both ways, so shrinking the first side
+    covers every restriction.  In weak mode the pairs pin down only the
+    visible image, so each side is shrunk in turn, and the obligation is
+    discharged as soon as one completion of that image by silent events of
+    the other side is alive."""
+    return _shrinkings_ok(eng, key, alive, 1) and (
+        not eng.branching or _shrinkings_ok(eng, key, alive, 2)
+    )
+
+
+def _shrinkings_ok(eng: Engine, key: TripleKey, alive: set[TripleKey], side: int) -> bool:
+    """hereditary_ok for the shrinkings of one side (1 or 2) of the matching."""
     m1, pairs, m2 = key
-    es1, es2 = eng.es1, eng.es2
-    cfg1_masks = es1.configuration_masks()
-    cfg2_masks = es2.configuration_masks()
-    sub = m1
-    while True:
-        if sub != m1 and sub in cfg1_masks:
-            kept = tuple(p for p in pairs if sub >> p[0] & 1)
-            image = 0
-            for _, j in kept:
-                image |= 1 << j
-            if eng.branching:
-                silent_rest = m2 & es2.silent_mask
-                extra = silent_rest
-                while True:
-                    cand = image | extra
-                    if cand in cfg2_masks and (sub, kept, cand) in alive:
-                        break
-                    if extra == 0:
-                        return False
-                    extra = (extra - 1) & silent_rest
-            elif image in cfg2_masks and (sub, kept, image) not in alive:
+    own, other = (m1, m2) if side == 1 else (m2, m1)
+    es_own, es_other = (eng.es1, eng.es2) if side == 1 else (eng.es2, eng.es1)
+    a, b = (0, 1) if side == 1 else (1, 0)
+    own_cfgs = es_own.configuration_masks()
+    other_cfgs = es_other.configuration_masks()
+    silent_rest = other & es_other.silent_mask if eng.branching else 0
+    sub = own
+    while sub:
+        sub = (sub - 1) & own
+        if sub not in own_cfgs:
+            continue
+        kept = tuple(p for p in pairs if sub >> p[a] & 1)
+        image = 0
+        for p in kept:
+            image |= 1 << p[b]
+        extra = silent_rest
+        while True:
+            cand = image | extra
+            restriction = (sub, kept, cand) if side == 1 else (cand, kept, sub)
+            if cand in other_cfgs and restriction in alive:
+                break
+            if extra == 0:
                 return False
-        if sub == 0:
-            break
-        sub = (sub - 1) & m1
-    if not eng.branching:
-        return True
-    sub = m2
-    while True:
-        if sub != m2 and sub in cfg2_masks:
-            kept = tuple(p for p in pairs if sub >> p[1] & 1)
-            image = 0
-            for i, _ in kept:
-                image |= 1 << i
-            silent_rest = m1 & es1.silent_mask
-            extra = silent_rest
-            while True:
-                cand = image | extra
-                if cand in cfg1_masks and (cand, kept, sub) in alive:
-                    break
-                if extra == 0:
-                    return False
-                extra = (extra - 1) & silent_rest
-        if sub == 0:
-            break
-        sub = (sub - 1) & m2
+            extra = (extra - 1) & silent_rest
     return True
 
 

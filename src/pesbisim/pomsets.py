@@ -55,13 +55,15 @@ def _bijections(
     yield from backtrack(0, 0)
 
 
-def _signature(es: EventStructure, idx: list[int]) -> list[tuple[str, int, int]]:
+def signature(es: EventStructure, idx: list[int]) -> tuple[tuple[str, int, int], ...]:
+    """An isomorphism invariant of the pomset on the events idx: the
+    sorted (label, events below, events above) of each event."""
     sig = []
     for i in idx:
         below = sum(1 for j in idx if j != i and es.leq_idx(j, i))
         above = sum(1 for j in idx if j != i and es.leq_idx(i, j))
         sig.append((es.label_of_index(i).name, below, above))
-    return sorted(sig)
+    return tuple(sorted(sig))
 
 
 def iso_masks(
@@ -77,7 +79,7 @@ def iso_masks(
         mask2 &= ~es2.silent_mask
     idx1 = bits(mask1)
     idx2 = bits(mask2)
-    if len(idx1) != len(idx2) or _signature(es1, idx1) != _signature(es2, idx2):
+    if len(idx1) != len(idx2) or signature(es1, idx1) != signature(es2, idx2):
         return False
     return next(_bijections(es1, idx1, es2, idx2), None) is not None
 

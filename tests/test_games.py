@@ -22,7 +22,6 @@ from pesbisim.games import (
     Arena,
     Challenge,
     GamePosition,
-    Move,
     Role,
     build_arena,
     game_check,
@@ -99,28 +98,30 @@ def test_arena_positions_alternate():
     for _ in range(10):
         es1 = random_es(rng, "A", max_events=4)
         es2 = random_es(rng, "B", max_events=4)
-        kind = rng.choice(ALL_KINDS)
-        a = build_arena(es1, es2, kind)
-        for pos in a.positions:
-            for mv in a.moves[pos]:
-                assert mv.target in a.index
-                if pos.owner is Role.SPOILER:
-                    assert mv.target.owner is Role.DUPLICATOR
-                    # a challenge never changes the matched configurations
-                    assert (mv.target.left, mv.target.right) in {
-                        (pos.left, pos.right),
-                        (pos.right, pos.left),
-                    }
-                else:
-                    assert mv.target.owner is Role.SPOILER
-            if kind.posetal and pos.pairs is not None:
-                m1, pairs, m2 = a.underlying_triple(pos)
-                if pos.swapped:
-                    assert (m1, m2) == (pos.right, pos.left)
-                else:
-                    assert (m1, m2) == (pos.left, pos.right)
-                for i, j in pairs:
-                    assert m1 >> i & 1 and m2 >> j & 1
+        for kind in ALL_KINDS:
+            a = build_arena(es1, es2, kind)
+            for i, pos in enumerate(a.positions):
+                assert a.index[pos] == i
+                assert len(a.moves[pos]) == len(a.succ[i])
+                for k, mv in enumerate(a.moves[pos]):
+                    assert mv.target == a.positions[a.succ[i][k]]
+                    if pos.owner is Role.SPOILER:
+                        assert mv.target.owner is Role.DUPLICATOR
+                        # a challenge never changes the matched configurations
+                        assert (mv.target.left, mv.target.right) in {
+                            (pos.left, pos.right),
+                            (pos.right, pos.left),
+                        }
+                    else:
+                        assert mv.target.owner is Role.SPOILER
+                if kind.posetal and pos.pairs is not None:
+                    m1, pairs, m2 = a.underlying_triple(pos)
+                    if pos.swapped:
+                        assert (m1, m2) == (pos.right, pos.left)
+                    else:
+                        assert (m1, m2) == (pos.left, pos.right)
+                    for i1, j2 in pairs:
+                        assert m1 >> i1 & 1 and m2 >> j2 & 1
 
 
 def test_game_agrees_with_fixpoint_on_random_pairs():
@@ -187,18 +188,12 @@ def test_solve_rejects_cyclic_arena():
     """Arenas built from structures are acyclic; a hand-built cycle leaves
     both positions undecided, which the solver reports."""
     es = pa()
-    spoiler = GamePosition(False, 0, 0, None, None)
-    duplicator = GamePosition(False, 0, 0, None, Challenge("transition", 1, 1))
+    spoiler = (False, 0, 0, None, None)
+    duplicator = (False, 0, 0, None, ("transition", 1, 1))
     arena = Arena(
-        es,
-        es,
-        POMSET_STRONG,
-        False,
-        {spoiler: 0, duplicator: 1},
-        {
-            spoiler: (Move("spoiler-challenge-left", duplicator),),
-            duplicator: (Move("duplicator-match", spoiler),),
-        },
+        Engine(es, es, POMSET_STRONG),
+        [spoiler, duplicator],
+        [("spoiler-challenge-left",), ("duplicator-match",)],
         [(1,), (0,)],
     )
     with pytest.raises(ArenaCycleError):

@@ -18,9 +18,24 @@ from pesbisim import (
     greatest_bisimulation,
     verify_witness,
 )
-from pesbisim.pes import Configuration
+from pesbisim.oracle import Engine
+from pesbisim.pes import Configuration, EventStructure
+from pesbisim.pomsets import iso_masks
 
-from conftest import ch, chain, choice3, p0, pa, par, random_es, renamed_copy, seq, tau
+from conftest import (
+    ch,
+    chain,
+    choice3,
+    fixture_pairs,
+    p0,
+    pa,
+    par,
+    random_es,
+    random_pairs,
+    renamed_copy,
+    seq,
+    tau,
+)
 
 POMSET_STRONG = BisimulationKind(Flavor.POMSET, Mode.STRONG)
 HP_BRANCHING = BisimulationKind(Flavor.HP, Mode.BRANCHING)
@@ -194,3 +209,37 @@ def test_invariant_under_event_renaming():
         other = renamed_copy(es)
         for kind in ALL_KINDS:
             assert check(es, other, kind).equivalent
+
+
+def _same_signature_pair():
+    """An N shape beside a two-chain against a V beside a Lambda, all
+    labelled a: every event has the same number of events below and above
+    on both sides, yet the two are not isomorphic."""
+    events = [(f"e{i}", "a") for i in range(6)]
+    n_chain = [("e0", "e1"), ("e0", "e3"), ("e2", "e3"), ("e4", "e5")]
+    v_lambda = [("e0", "e1"), ("e0", "e2"), ("e3", "e5"), ("e4", "e5")]
+    return EventStructure("NC", events, n_chain, []), EventStructure("VL", events, v_lambda, [])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        fixture_pairs(),
+        random_pairs(47, 40, max_events=5, alphabet="a"),
+        random_pairs(48, 40, max_events=5),
+        [_same_signature_pair()],
+    ],
+    ids=["fixtures", "one-label", "mixed", "same-signature"],
+)
+def test_iso_classes_match_iso_masks(pairs):
+    """Two event subsets, of different sides or of one side, get the same
+    class id exactly when iso_masks finds them isomorphic."""
+    for es1, es2 in pairs:
+        sides = {1: es1, 2: es2}
+        for erase in (False, True):
+            eng = Engine(es1, es2, POMSET_STRONG, strong_tau_erasure=erase)
+            for a, b in ((1, 2), (1, 1), (2, 2)):
+                for x in range(1 << len(sides[a].events)):
+                    for y in range(1 << len(sides[b].events)):
+                        same = eng.iso_class(a, x) == eng.iso_class(b, y)
+                        assert same == iso_masks(sides[a], x, sides[b], y, erase), (a, x, b, y)
