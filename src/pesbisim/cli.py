@@ -255,7 +255,7 @@ def cmd_play(args: argparse.Namespace) -> int:
                     print("\nend of input; aborting game", file=sys.stderr)
                     return 2
                 line = line.strip()
-                if line.isdigit() and int(line) < len(legal):
+                if line.isdecimal() and int(line) < len(legal):
                     choice = int(line)
                 else:
                     print(f"enter a move number between 0 and {len(legal) - 1}")

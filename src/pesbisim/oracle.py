@@ -2,14 +2,21 @@
 
 The oracle starts from the full candidate universe (all configuration
 pairs, or all matchings for the history-preserving flavors) and removes
-elements whose transfer conditions fail against the current set, until
-nothing changes.  The hereditary flavors additionally prune any matching
-that has a pointwise-smaller valid matching outside the current set,
-re-running transfer pruning after each closure pass until a joint
-fixpoint.  Two structures are equivalent exactly when the empty pair
-(or empty matching) survives.
+the keys whose transfer conditions fail, in one pass over the universe in
+descending key order.  Configurations only grow, and adding an event sets
+a bit, so the check of a pair key (m1, m2) or a matching key
+(m1, pairs, m2) reads only the key itself, keys with a larger m1, and
+keys with the same m1 and pairs but a larger m2.  Every key a check
+reads besides its own is therefore settled before it, and the key itself
+is taken as alive, as the greatest fixpoint assumes.  The hereditary
+flavors keep an outer loop: demote every matching that has a
+pointwise-smaller valid matching outside the current set, then make one
+more pass, until nothing is demoted.  Hereditary closure reads smaller
+keys, so it cannot join the single pass.  Two structures are equivalent
+exactly when the empty pair (or empty matching) survives.
 
-Transfer conditions, per challenge C1 --X--> C1' (and symmetrically):
+Transfer conditions, per challenge C1 --X--> C1' of either side (each
+rule is written once and checked for side 1 and for side 2):
 
 * strong: some C2 --Y--> C2' with Y isomorphic to X and the successor
   pair in the relation.  Silent labels compare as ordinary labels unless
@@ -32,7 +39,7 @@ decision procedures share one definition of every move.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable
 
 from .errors import CapExceededError, MalformedWitnessError
 from .kinds import BisimulationKind, Flavor
@@ -41,7 +48,7 @@ from .pomsets import Matching, Pairs, enumerate_matchings, extends, iso_masks, s
 
 PairKey = tuple[int, int]
 TripleKey = tuple[int, Pairs, int]
-Key = TypeVar("Key")
+Key = PairKey | TripleKey
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,6 @@ class Engine:
         self.step = kind.step_moves
         self.branching = kind.branching
         self.erase = True if self.branching else strong_tau_erasure
-        self._iso_cache: dict[tuple[int, int], bool] = {}
         self._classes: dict[tuple[int, int], int] = {}
         self._class_reps: dict[tuple, list[tuple[int, int, int]]] = {}
 
@@ -107,13 +113,6 @@ class Engine:
     def singles(self, side: int, mask: int) -> tuple[int, ...]:
         es = self.es1 if side == 1 else self.es2
         return es.enabled(mask)
-
-    def iso(self, x1: int, x2: int) -> bool:
-        key = (x1, x2)
-        hit = self._iso_cache.get(key)
-        if hit is None:
-            hit = self._iso_cache[key] = self.iso_class(1, x1) == self.iso_class(2, x2)
-        return hit
 
     def iso_class(self, side: int, mask: int) -> int:
         """The isomorphism class id of a pomset of one side, silent events
@@ -134,10 +133,6 @@ class Engine:
                 reps.append((cid, side, mask))
             self._classes[side, mask] = cid
         return cid
-
-    def silent(self, side: int, e: int) -> bool:
-        es = self.es1 if side == 1 else self.es2
-        return bool(es.silent_mask >> e & 1)
 
     def tau_reach(self, side: int, mask: int) -> tuple[int, ...]:
         es = self.es1 if side == 1 else self.es2
@@ -183,134 +178,90 @@ def triple_universe(eng: Engine) -> list[TripleKey]:
 
 
 # ----------------------------------------------------------------------
-# transfer conditions
+# transfer conditions: one helper per key shape, called for each side.
+# Keys are built as (own, other) or (own, pairs, other) and reversed for
+# side 2, and the events of a new pair likewise.  Strong mode is branching
+# mode with the other side's silent lead-in cut to the key itself, no
+# silent absorption and no termination obligation.  Callers check only
+# keys in alive, so a lookup of the key itself may be skipped.
 
 
-def _pair_supported(eng: Engine, key: PairKey, alive: set[PairKey]) -> bool:
-    m1, m2 = key
-    if eng.branching:
-        silent1 = eng.es1.silent_mask
-        silent2 = eng.es2.silent_mask
-        for x, m1p in eng.trans(1, m1):
-            if not x & ~silent1 and (m1p, m2) in alive:
-                continue
-            if not any(
-                (m1, m20) in alive
-                and any(
-                    eng.iso(x, y) and (m1p, m2p) in alive for y, m2p in eng.trans(2, m20)
-                )
-                for m20 in eng.tau_reach(2, m2)
-            ):
-                return False
-        for y, m2p in eng.trans(2, m2):
-            if not y & ~silent2 and (m1, m2p) in alive:
-                continue
-            if not any(
-                (m10, m2) in alive
-                and any(
-                    eng.iso(x, y) and (m1p, m2p) in alive for x, m1p in eng.trans(1, m10)
-                )
-                for m10 in eng.tau_reach(1, m1)
-            ):
-                return False
-        if eng.terminates(1, m1) and not any(
-            (m1, m20) in alive and eng.terminates(2, m20) for m20 in eng.tau_reach(2, m2)
-        ):
-            return False
-        if eng.terminates(2, m2) and not any(
-            (m10, m2) in alive and eng.terminates(1, m10) for m10 in eng.tau_reach(1, m1)
-        ):
-            return False
-        return True
-    for x, m1p in eng.trans(1, m1):
-        if not any(eng.iso(x, y) and (m1p, m2p) in alive for y, m2p in eng.trans(2, m2)):
-            return False
-    for y, m2p in eng.trans(2, m2):
-        if not any(eng.iso(x, y) and (m1p, m2p) in alive for x, m1p in eng.trans(1, m1)):
-            return False
-    return True
-
-
-def _triple_supported(eng: Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
-    m1, pairs, m2 = key
-    if eng.branching:
-        return _triple_supported_branching(eng, key, alive)
-    for e1 in eng.singles(1, m1):
-        m1p = m1 | 1 << e1
-        if not any(
-            eng.ext_ok(pairs, e1, e2)
-            and (m1p, tuple(sorted(pairs + ((e1, e2),))), m2 | 1 << e2) in alive
-            for e2 in eng.singles(2, m2)
-        ):
-            return False
-    for e2 in eng.singles(2, m2):
-        m2p = m2 | 1 << e2
-        if not any(
-            eng.ext_ok(pairs, e1, e2)
-            and (m1 | 1 << e1, tuple(sorted(pairs + ((e1, e2),))), m2p) in alive
-            for e1 in eng.singles(1, m1)
-        ):
-            return False
-    return True
-
-
-def _triple_supported_branching(eng: Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
-    m1, pairs, m2 = key
-    for e1 in eng.singles(1, m1):
-        m1p = m1 | 1 << e1
-        if eng.silent(1, e1) and (m1p, pairs, m2) in alive:
+def _pair_side_ok(eng: Engine, key: PairKey, alive: set[PairKey], side: int) -> bool:
+    """Whether every move of one side (1 or 2) of a configuration pair is
+    answered by the other side within alive."""
+    d = 1 if side == 1 else -1
+    own, other = key[::d]
+    o = 3 - side
+    branching = eng.branching
+    silent = (eng.es1, eng.es2)[side - 1].silent_mask if branching else 0
+    reach = eng.tau_reach(o, other) if branching else (other,)
+    trans, iso_class = eng.trans, eng.iso_class
+    for x, own_p in trans(side, own):
+        if not x & ~silent and (own_p, other)[::d] in alive:
             continue
-        ok = False
-        for m20 in eng.tau_reach(2, m2):
-            if (m1, pairs, m20) not in alive:
-                continue
-            for e2 in eng.singles(2, m20):
-                if eng.silent(1, e1):
-                    if not eng.silent(2, e2):
-                        continue
-                    new_pairs = pairs
-                elif not eng.ext_ok(pairs, e1, e2):
-                    continue
-                else:
-                    new_pairs = tuple(sorted(pairs + ((e1, e2),)))
-                if (m1p, new_pairs, m20 | 1 << e2) in alive:
-                    ok = True
+        cls = iso_class(side, x)
+        answered = False
+        for o0 in reach:
+            if o0 == other or (own, o0)[::d] in alive:
+                for y, other_p in trans(o, o0):
+                    if iso_class(o, y) == cls and (own_p, other_p)[::d] in alive:
+                        answered = True
+                        break
+                if answered:
                     break
-            if ok:
-                break
-        if not ok:
+        if not answered:
             return False
-    for e2 in eng.singles(2, m2):
-        m2p = m2 | 1 << e2
-        if eng.silent(2, e2) and (m1, pairs, m2p) in alive:
-            continue
-        ok = False
-        for m10 in eng.tau_reach(1, m1):
-            if (m10, pairs, m2) not in alive:
-                continue
-            for e1 in eng.singles(1, m10):
-                if eng.silent(2, e2):
-                    if not eng.silent(1, e1):
-                        continue
-                    new_pairs = pairs
-                elif not eng.ext_ok(pairs, e1, e2):
-                    continue
-                else:
-                    new_pairs = tuple(sorted(pairs + ((e1, e2),)))
-                if (m10 | 1 << e1, new_pairs, m2p) in alive:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            return False
-    if eng.terminates(1, m1) and not any(
-        (m1, pairs, m20) in alive and eng.terminates(2, m20) for m20 in eng.tau_reach(2, m2)
-    ):
+    if branching and eng.terminates(side, own):
+        for o0 in reach:
+            if (own, o0)[::d] in alive and eng.terminates(o, o0):
+                return True
         return False
-    if eng.terminates(2, m2) and not any(
-        (m10, pairs, m2) in alive and eng.terminates(1, m10) for m10 in eng.tau_reach(1, m1)
-    ):
+    return True
+
+
+def _triple_side_ok(eng: Engine, key: TripleKey, alive: set[TripleKey], side: int) -> bool:
+    """Whether every single-event move of one side (1 or 2) of a matching
+    is answered by the other side within alive.  A visible event extends
+    the matching; in branching mode a silent one is absorbed, or answered
+    by a silent event that leaves the pairs as they are."""
+    d = 1 if side == 1 else -1
+    own, pairs, other = key[::d]
+    o = 3 - side
+    branching = eng.branching
+    es_own, es_other = (eng.es1, eng.es2)[::d]
+    silent = es_own.silent_mask if branching else 0
+    silent_other = es_other.silent_mask
+    reach = eng.tau_reach(o, other) if branching else (other,)
+    ext_ok = eng.ext_ok
+    for e in es_own.enabled(own):
+        own_p = own | 1 << e
+        tau = silent >> e & 1
+        if tau and (own_p, pairs, other)[::d] in alive:
+            continue
+        answered = False
+        for o0 in reach:
+            if o0 == other or (own, pairs, o0)[::d] in alive:
+                for f in es_other.enabled(o0):
+                    if tau:
+                        if not silent_other >> f & 1:
+                            continue
+                        new_pairs = pairs
+                    else:
+                        pair = (e, f)[::d]
+                        if not ext_ok(pairs, *pair):
+                            continue
+                        new_pairs = tuple(sorted(pairs + (pair,)))
+                    if (own_p, new_pairs, o0 | 1 << f)[::d] in alive:
+                        answered = True
+                        break
+                if answered:
+                    break
+        if not answered:
+            return False
+    if branching and eng.terminates(side, own):
+        for o0 in reach:
+            if (own, pairs, o0)[::d] in alive and eng.terminates(o, o0):
+                return True
         return False
     return True
 
@@ -365,34 +316,23 @@ def _shrinkings_ok(eng: Engine, key: TripleKey, alive: set[TripleKey], side: int
     return True
 
 
-def _prune(
-    eng: Engine,
-    universe: list[Key],
-    alive: set[Key],
-    supported: Callable[[Engine, Key, set[Key]], bool],
-) -> None:
-    """Remove the members of alive that are not supported by alive, until
-    every remaining member is."""
-    changed = True
-    while changed:
-        changed = False
-        for key in universe:
-            if key in alive and not supported(eng, key, alive):
-                alive.discard(key)
-                changed = True
+# ----------------------------------------------------------------------
+# the descending pass
 
 
-def _closure_fixpoint(
-    eng: Engine, universe: list[TripleKey], alive: set[TripleKey]
-) -> set[TripleKey]:
-    _prune(eng, universe, alive, _triple_supported)
-    if eng.kind.flavor is Flavor.HHP:
-        while demoted := [
-            key for key in universe if key in alive and not hereditary_ok(eng, key, alive)
-        ]:
-            alive.difference_update(demoted)
-            _prune(eng, universe, alive, _triple_supported)
-    return alive
+def _supported(eng: Engine, key: Key, alive: set[Key]) -> bool:
+    """Whether the key's transfer conditions hold, for both sides, within alive."""
+    side_ok = _triple_side_ok if len(key) == 3 else _pair_side_ok
+    return side_ok(eng, key, alive, 1) and side_ok(eng, key, alive, 2)
+
+
+def _prune(eng: Engine, universe: list[Key], alive: set[Key]) -> None:
+    """Remove from alive, in one descending pass over the sorted universe,
+    every key whose transfer conditions fail.  A check reads only its key
+    and later keys, which the pass has already settled."""
+    for key in reversed(universe):
+        if key in alive and not _supported(eng, key, alive):
+            alive.discard(key)
 
 
 # ----------------------------------------------------------------------
@@ -409,21 +349,21 @@ def greatest_bisimulation(
 ) -> Relation:
     """The largest relation closed under the kind's transfer conditions."""
     eng = Engine(es1, es2, kind, strong_tau_erasure, caps)
+    universe = triple_universe(eng) if kind.posetal else _pair_universe(eng)
+    alive: set[Key] = set(universe)
+    _prune(eng, universe, alive)
+    if kind.flavor is Flavor.HHP:
+        while demoted := [
+            key for key in universe if key in alive and not hereditary_ok(eng, key, alive)
+        ]:
+            alive.difference_update(demoted)
+            _prune(eng, universe, alive)
     if kind.posetal:
-        universe = triple_universe(eng)
-        alive: set[TripleKey] = set(universe)
-        alive = _closure_fixpoint(eng, universe, alive)
         matchings = frozenset(
-            Matching(es1, es2, m1, m2, pairs, eng.branching)
-            for m1, pairs, m2 in alive
+            Matching(es1, es2, m1, m2, pairs, eng.branching) for m1, pairs, m2 in alive
         )
         return Relation(es1, es2, kind, matchings=matchings)
-    pair_universe = _pair_universe(eng)
-    pairs_alive: set[PairKey] = set(pair_universe)
-    _prune(eng, pair_universe, pairs_alive, _pair_supported)
-    pairs = frozenset(
-        (Configuration(es1, m1), Configuration(es2, m2)) for m1, m2 in pairs_alive
-    )
+    pairs = frozenset((Configuration(es1, m1), Configuration(es2, m2)) for m1, m2 in alive)
     return Relation(es1, es2, kind, pairs=pairs)
 
 
@@ -465,9 +405,9 @@ def verify_witness(
     eng = Engine(es1, es2, kind, strong_tau_erasure)
     if isinstance(members, Relation):
         members = members.sorted_members()
-    if kind.posetal:
-        keys: set[TripleKey] = set()
-        for m in members:
+    keys: set[Key] = set()
+    for m in members:
+        if kind.posetal:
             if not isinstance(m, Matching):
                 raise MalformedWitnessError(f"expected a matching, got {m!r}")
             if m.es1 is not es1 or m.es2 is not es2:
@@ -481,16 +421,7 @@ def verify_witness(
             if reason:
                 raise MalformedWitnessError(reason)
             keys.add((m.mask1, m.pairs, m.mask2))
-        for key in keys:
-            if not _triple_supported(eng, key, keys):
-                return False
-        if kind.flavor is Flavor.HHP:
-            for key in keys:
-                if not hereditary_ok(eng, key, keys):
-                    return False
-        return True
-    pair_keys: set[PairKey] = set()
-    for m in members:
+            continue
         try:
             c1, c2 = m
         except (TypeError, ValueError):
@@ -501,5 +432,7 @@ def verify_witness(
             raise MalformedWitnessError("configuration pair belongs to a different structure pair")
         if not es1.is_configuration_mask(c1.mask) or not es2.is_configuration_mask(c2.mask):
             raise MalformedWitnessError(f"{c1} or {c2} is not a configuration")
-        pair_keys.add((c1.mask, c2.mask))
-    return all(_pair_supported(eng, key, pair_keys) for key in pair_keys)
+        keys.add((c1.mask, c2.mask))
+    return all(_supported(eng, key, keys) for key in keys) and (
+        kind.flavor is not Flavor.HHP or all(hereditary_ok(eng, key, keys) for key in keys)
+    )

@@ -3,6 +3,7 @@ the interactive game loop."""
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -232,6 +233,19 @@ def test_play_as_spoiler_wins(capsys):
     assert "you play spoiler" in proc.stdout
     assert "enter a move number between 0 and" in proc.stdout
     assert "Duplicator stuck; Spoiler wins" in proc.stdout
+
+
+def test_play_reprompts_on_non_decimal_digit(capsys, monkeypatch):
+    # "²".isdigit() holds, but int("²") raises
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\u00b2\n2\n"))
+    code, out, _ = run_main(
+        capsys,
+        ["play", "--rel", "pomset", "--mode", "strong", "--as", "spoiler",
+         fx("par.pes"), fx("ch.pes")],
+    )
+    assert code == 0
+    assert "enter a move number between 0 and" in out
+    assert "Duplicator stuck; Spoiler wins" in out
 
 
 def test_play_as_duplicator_machine_wins():

@@ -16,10 +16,11 @@ from pesbisim import (
     Mode,
     check,
     greatest_bisimulation,
+    oracle,
     verify_witness,
 )
-from pesbisim.oracle import Engine
-from pesbisim.pes import Configuration, EventStructure
+from pesbisim.oracle import Engine, hereditary_ok, triple_universe
+from pesbisim.pes import Configuration, EventStructure, bits
 from pesbisim.pomsets import iso_masks
 
 from conftest import (
@@ -29,6 +30,7 @@ from conftest import (
     fixture_pairs,
     p0,
     pa,
+    pa_noterm,
     par,
     random_es,
     random_pairs,
@@ -146,6 +148,30 @@ def test_verify_rejects_malformed_members():
         verify_witness(p, p, hp_strong, [Matching(p, p, 1, 2, ((0, 1),), False)])
 
 
+def _members(a, b, kind, masks):
+    """The relation over the given (mask1, mask2) pairs, as the kind's
+    members: identity matchings for the posetal kinds."""
+    if kind.posetal:
+        return [
+            Matching(a, b, m1, m2, tuple((e, e) for e in bits(m1)), kind.branching)
+            for m1, m2 in masks
+        ]
+    return [(Configuration(a, m1), Configuration(b, m2)) for m1, m2 in masks]
+
+
+def test_verify_checks_both_sides():
+    """Each side's moves and termination are checked: the same relation
+    fails with the structures in either order."""
+    for a, b in ((pa(), pa_noterm()), (pa_noterm(), pa())):
+        for kind in BRANCHING_KINDS:
+            # the a-moves match, but only one side terminates after them
+            assert not verify_witness(a, b, kind, _members(a, b, kind, [(0, 0), (1, 1)]))
+    for a, b in ((p0(), pa()), (pa(), p0())):
+        for kind in ALL_KINDS:
+            # the a-move of PA has no answer
+            assert not verify_witness(a, b, kind, _members(a, b, kind, [(0, 0)]))
+
+
 def _triple_candidates(a, b, weak):
     from pesbisim.pomsets import enumerate_matchings
 
@@ -243,3 +269,48 @@ def test_iso_classes_match_iso_masks(pairs):
                     for y in range(1 << len(sides[b].events)):
                         same = eng.iso_class(a, x) == eng.iso_class(b, y)
                         assert same == iso_masks(sides[a], x, sides[b], y, erase), (a, x, b, y)
+
+
+def _naive_greatest(es1, es2, kind, strong_tau_erasure):
+    """The greatest relation by sweeping the universe in ascending order
+    until nothing changes, with the oracle's per-key checks."""
+    eng = Engine(es1, es2, kind, strong_tau_erasure)
+    if kind.posetal:
+        universe = triple_universe(eng)
+    else:
+        universe = [
+            (m1, m2) for m1 in es1.configuration_masks() for m2 in es2.configuration_masks()
+        ]
+    alive = set(universe)
+    changed = True
+    while changed:
+        changed = False
+        for key in universe:
+            if key in alive and not (
+                oracle._supported(eng, key, alive)
+                and (kind.flavor is not Flavor.HHP or hereditary_ok(eng, key, alive))
+            ):
+                alive.discard(key)
+                changed = True
+    return alive
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        fixture_pairs(),
+        random_pairs(51, 80, max_events=5, alphabet="a"),
+        random_pairs(52, 80, max_events=5),
+    ],
+    ids=["fixtures", "one-label", "mixed"],
+)
+def test_single_pass_matches_naive_fixpoint(pairs):
+    for es1, es2 in pairs:
+        for kind in ALL_KINDS:
+            for erase in (False, True) if kind.mode is Mode.STRONG else (False,):
+                rel = greatest_bisimulation(es1, es2, kind, strong_tau_erasure=erase)
+                if kind.posetal:
+                    got = {(m.mask1, m.pairs, m.mask2) for m in rel.matchings}
+                else:
+                    got = {(c1.mask, c2.mask) for c1, c2 in rel.pairs}
+                assert got == _naive_greatest(es1, es2, kind, erase), (es1.name, es2.name, kind)

@@ -24,11 +24,12 @@ from pesbisim.games import build_arena
 from pesbisim.oracle import Engine, hereditary_ok
 from pesbisim.pomsets import iso_masks
 
-from conftest import ch, par, random_es, seq, tau, tau_par
+from conftest import ch, pa, par, random_es, seq, tau, tau_par
 
 HP_STRONG = BisimulationKind(Flavor.HP, Mode.STRONG)
 HP_BRANCHING = BisimulationKind(Flavor.HP, Mode.BRANCHING)
 HHP_STRONG = BisimulationKind(Flavor.HHP, Mode.STRONG)
+HHP_BRANCHING = BisimulationKind(Flavor.HHP, Mode.BRANCHING)
 
 
 def brute_matchings(es1, ev1, es2, ev2, erase: bool) -> set[tuple[tuple[int, int], ...]]:
@@ -253,6 +254,18 @@ def test_containment():
     assert not hereditary_ok(eng, two, {one, two})
     assert hereditary_ok(eng, one, {empty, one})
     assert hereditary_ok(eng, empty, set())
+
+
+def test_containment_shrinks_the_second_side():
+    # {a} of PA against {t, a} of TAU: shrinking side 1 to the empty set
+    # reaches the empty matching, but shrinking side 2 to {t} needs the
+    # matching of the empty set against {t}, which is missing
+    left, right = pa(), tau()
+    eng = Engine(left, right, HHP_BRANCHING)
+    key = (left.full_mask, ((left.event_index("a"), right.event_index("a")),), right.full_mask)
+    empty = (0, (), 0)
+    assert not hereditary_ok(eng, key, {key, empty})
+    assert hereditary_ok(eng, key, {key, empty, (0, (), 1 << right.event_index("t"))})
 
 
 def test_containment_needs_pair_subset():
