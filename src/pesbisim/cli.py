@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any
 
 from . import games, oracle
@@ -22,60 +21,6 @@ from .pes import Caps, EventStructure
 from .pesfile import parse_pes
 
 REPORT_FORMAT = 1
-
-
-@dataclass(frozen=True)
-class Report:
-    """Machine-readable check outcome; serializes to versioned JSON."""
-
-    relation: str
-    mode: str
-    engine: str
-    left: str
-    right: str
-    equivalent: bool
-    agreement: bool | None
-    witness_summary: dict[str, Any]
-    caps: dict[str, int]
-    elapsed_ms: float
-    witness: list | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "format": REPORT_FORMAT,
-            "relation": self.relation,
-            "mode": self.mode,
-            "engine": self.engine,
-            "left": self.left,
-            "right": self.right,
-            "equivalent": self.equivalent,
-            "witness_summary": self.witness_summary,
-            "caps": self.caps,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.agreement is not None:
-            out["agreement"] = self.agreement
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> Report:
-        if data.get("format") != REPORT_FORMAT:
-            raise ValidationError(f"unsupported report format {data.get('format')!r}")
-        return cls(
-            relation=data["relation"],
-            mode=data["mode"],
-            engine=data["engine"],
-            left=data["left"],
-            right=data["right"],
-            equivalent=data["equivalent"],
-            agreement=data.get("agreement"),
-            witness_summary=data["witness_summary"],
-            caps=data["caps"],
-            elapsed_ms=data["elapsed_ms"],
-            witness=data.get("witness"),
-        )
 
 
 def _caps_from_args(args: argparse.Namespace) -> Caps:
@@ -155,13 +100,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     oracle_verdict = None
     game_verdict = None
     if args.engine in ("oracle", "both"):
-        oracle_verdict = oracle.check(
-            es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure, caps=caps
-        )
+        oracle_verdict = oracle.check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
     if args.engine in ("game", "both"):
-        game_verdict = games.game_check(
-            es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure, caps=caps
-        )
+        game_verdict = games.game_check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     agreement: bool | None = None
@@ -189,25 +130,28 @@ def cmd_check(args: argparse.Namespace) -> int:
         elif game_verdict is not None:
             witness = _serialize_strategy(game_verdict)
 
-    report = Report(
-        relation=args.rel,
-        mode=args.mode,
-        engine=args.engine,
-        left=es1.name,
-        right=es2.name,
-        equivalent=equivalent,
-        agreement=agreement,
-        witness_summary=summary,
-        caps={
-            "max_events": caps.max_events,
-            "max_configurations": caps.max_configurations,
-            "max_positions": caps.max_positions,
-        },
-        elapsed_ms=round(elapsed_ms, 3),
-        witness=witness,
-    )
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        report: dict[str, Any] = {
+            "format": REPORT_FORMAT,
+            "relation": args.rel,
+            "mode": args.mode,
+            "engine": args.engine,
+            "left": es1.name,
+            "right": es2.name,
+            "equivalent": equivalent,
+            "witness_summary": summary,
+            "caps": {
+                "max_events": caps.max_events,
+                "max_configurations": caps.max_configurations,
+                "max_positions": caps.max_positions,
+            },
+            "elapsed_ms": round(elapsed_ms, 3),
+        }
+        if agreement is not None:
+            report["agreement"] = agreement
+        if witness is not None:
+            report["witness"] = witness
+        print(json.dumps(report, indent=2))
     else:
         verdict_word = "equivalent" if equivalent else "inequivalent"
         print(f"{es1.name} vs {es2.name}: {kind}: {verdict_word}")
@@ -231,9 +175,7 @@ def cmd_play(args: argparse.Namespace) -> int:
     kind = BisimulationKind.parse(args.rel, args.mode)
     es1 = _load(args.files[0], caps)
     es2 = _load(args.files[1], caps)
-    gv = games.game_check(
-        es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure, caps=caps
-    )
+    gv = games.game_check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
     arena, solution = gv.arena, gv.solution
     human = Role(args.human_role)
     machine = human.other()
@@ -286,9 +228,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     kind = BisimulationKind.parse(args.rel, args.mode)
     es1 = _load(args.files[0], caps)
     es2 = _load(args.files[1], caps)
-    gv = games.game_check(
-        es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure, caps=caps
-    )
+    gv = games.game_check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
     sys.stdout.write(arena_dot(gv.arena, gv.solution))
     return 0
 

@@ -5,14 +5,15 @@ the history-preserving flavors) and, on Duplicator's turns, the pending
 challenge.  Spoiler challenges a transition of either side; challenging
 the right side swaps the orientation so the challenged configuration is
 always first.  Duplicator answers a challenge by matching it with an
-isomorphic transition; in branching mode it may instead absorb an
+isomorphic transition, which for hp and hhp must extend the matching;
+in branching mode it may instead absorb an
 all-silent challenge, defer by one silent step of the answering side
 (dropping the challenge), or, for a termination challenge, move the
 answering side through silent events to a terminating configuration.
 Configurations only ever grow, so arenas are finite DAGs; a player with
 no move loses.  The builder explores positions as plain tuple keys and
-answers a pomset or step challenge from the answering side's
-transitions grouped by isomorphism class.  The arena numbers its
+reads Spoiler's challenges and Duplicator's matches from the oracle's
+``Engine.challenges`` and ``Engine.answers``.  The arena numbers its
 positions as it finds them, and the solver works on those ids alone,
 by retrograde counting (the
 attractor construction): starting from the stuck positions, a decided
@@ -43,7 +44,7 @@ from typing import Callable, Sequence
 from .errors import ArenaCycleError, CapExceededError, IllegalMoveError, ValidationError
 from .kinds import BisimulationKind, Flavor
 from .oracle import Engine, hereditary_ok, triple_universe
-from .pes import Caps, EventStructure
+from .pes import EventStructure
 from .pomsets import Pairs
 
 
@@ -246,11 +247,10 @@ def build_arena(
     kind: BisimulationKind,
     *,
     strong_tau_erasure: bool = False,
-    caps: Caps | None = None,
 ) -> Arena:
     """Breadth-first arena construction from the empty-configurations
     position, with deterministic move order."""
-    eng = Engine(es1, es2, kind, strong_tau_erasure, caps)
+    eng = Engine(es1, es2, kind, strong_tau_erasure)
     keys: list[Key] = [(False, 0, 0, () if kind.posetal else None, None)]
     # The hereditary flavors judge games started at every matching, not just
     # those reachable from the empty one, so each valid triple is a position.
@@ -284,31 +284,23 @@ def build_arena(
 
 def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
     """The game's moves from a position key, as (rule, target key) in move
-    order.  Duplicator answers a pomset or step challenge from a table, per
-    answering side and configuration, of its transitions by isomorphism
-    class."""
-    posetal, branching = eng.kind.posetal, eng.branching
+    order.  Spoiler's challenges and Duplicator's matches are the
+    engine's challenges and answers."""
+    branching = eng.branching
     silent = (0, eng.es1.silent_mask, eng.es2.silent_mask)
-    singles, trans, terminates = eng.singles, eng.trans, eng.terminates
-    iso_class = eng.iso_class
-    answers: dict[tuple[int, int], dict[int, list[int]]] = {}
+    challenges, answers, terminates = eng.challenges, eng.answers, eng.terminates
 
     def moves(key: Key) -> list[tuple[str, Key]]:
         sw, left, right, pairs, ch = key
         sl, sr = (2, 1) if sw else (1, 2)
         if ch is None:
-            if posetal:
-                left_trans = [(1 << e, left | 1 << e) for e in singles(sl, left)]
-                right_trans = [(1 << e, right | 1 << e) for e in singles(sr, right)]
-            else:
-                left_trans, right_trans = trans(sl, left), trans(sr, right)
             out = [
                 ("spoiler-challenge-left", (sw, left, right, pairs, ("transition", x, t)))
-                for x, t in left_trans
+                for x, t in challenges(sl, left)
             ]
             out += [
                 ("spoiler-challenge-right", (not sw, right, left, pairs, ("transition", y, t)))
-                for y, t in right_trans
+                for y, t in challenges(sr, right)
             ]
             if branching and (ends := terminates(sl, left)) != terminates(sr, right):
                 # the side that terminates alone is challenged, as the left one
@@ -325,35 +317,13 @@ def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
         out = []
         if branching and not x & ~silent[sl]:
             out.append(("duplicator-absorb-tau", (sw, target, right, pairs, None)))
-        if not posetal:
-            table = answers.get((sr, right))
-            if table is None:
-                table = answers[sr, right] = {}
-                for y, t in trans(sr, right):
-                    table.setdefault(iso_class(sr, y), []).append(t)
-            out += [
-                ("duplicator-match", (sw, target, t, pairs, None))
-                for t in table.get(iso_class(sl, x), ())
-            ]
-        elif branching and x & silent[sl]:
-            # Weak matchings leave silent events unmatched, so a silent
-            # answer grows both sides without touching the bijection.
-            out += [
-                ("duplicator-match", (sw, target, right | 1 << e2, pairs, None))
-                for e2 in singles(sr, right)
-                if silent[sr] >> e2 & 1
-            ]
-        else:
-            e1 = x.bit_length() - 1
-            for e2 in singles(sr, right):
-                n1, n2 = (e2, e1) if sw else (e1, e2)
-                if eng.ext_ok(pairs, n1, n2):
-                    new_pairs = tuple(sorted(pairs + ((n1, n2),)))
-                    out.append(("duplicator-match", (sw, target, right | 1 << e2, new_pairs, None)))
+        out += [
+            ("duplicator-match", (sw, target, t, p, None)) for t, p in answers(sl, x, pairs, right)
+        ]
         if branching:
             out += [
                 ("duplicator-tau-step", (sw, left, right | 1 << e, pairs, None))
-                for e in singles(sr, right)
+                for e in eng.singles(sr, right)
                 if silent[sr] >> e & 1
             ]
         return out
@@ -486,10 +456,9 @@ def game_check(
     kind: BisimulationKind,
     *,
     strong_tau_erasure: bool = False,
-    caps: Caps | None = None,
 ) -> GameVerdict:
     """Decide equivalence by building and solving the game arena."""
-    arena = build_arena(es1, es2, kind, strong_tau_erasure=strong_tau_erasure, caps=caps)
+    arena = build_arena(es1, es2, kind, strong_tau_erasure=strong_tau_erasure)
     solution = solve_hereditary(arena) if kind.flavor is Flavor.HHP else solve(arena)
     return GameVerdict(kind, arena, solution)
 

@@ -27,49 +27,68 @@ rule is written once and checked for side 1 and for side 2):
   (C1',C2') in the relation.  Additionally, a terminating side must be
   answered by a silent-reachable, related, terminating configuration.
 
-The hp flavors use single-event challenges and extend the matching with
-the answering event; branching hp absorbs silent challenges by growing
-one side of the matching without touching the visible bijection.
+Every key has one shape, (first mask, pairs, second mask), with pairs
+None for pomset and step, and one helper checks the transfer conditions
+of either side.  Its challenges are ``Engine.challenges``: single events
+for hp and hhp, transitions otherwise.  Its answers are
+``Engine.answers``: the isomorphic transitions, or the extensions of the
+matching by the answering event, or, in branching hp, the silent
+answers to a silent event, which keep the pairs.
 
 The move layer, ``Engine``, ``triple_universe`` and ``hereditary_ok``, is
-public: the games read their moves from the same objects, so both
-decision procedures share one definition of every move.
+public: the games read Spoiler's challenges and Duplicator's matches
+from the same two methods, so both decision procedures share one
+definition of every move.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, MalformedWitnessError
 from .kinds import BisimulationKind, Flavor
-from .pes import Caps, Configuration, EventStructure, bits
+from .pes import Configuration, EventStructure, bits
 from .pomsets import Matching, Pairs, enumerate_matchings, extends, iso_masks, signature
 
-PairKey = tuple[int, int]
-TripleKey = tuple[int, Pairs, int]
-Key = PairKey | TripleKey
+Key = tuple[int, Pairs | None, int]
+"""(first mask, pairs, second mask); pairs is None for pomset and step."""
 
 
-@dataclass(frozen=True)
 class Relation:
-    """A set of related states: configuration pairs or matchings."""
+    """A set of related states, kept as keys (first mask, pairs, second
+    mask), pairs None for pomset and step.  The object views, pairs (the
+    configuration pairs, for pomset and step) and matchings (for hp and
+    hhp), are built on first access; the other one is None."""
 
-    es1: EventStructure = field(repr=False)
-    es2: EventStructure = field(repr=False)
-    kind: BisimulationKind
-    pairs: frozenset[tuple[Configuration, Configuration]] | None = None
-    matchings: frozenset[Matching] | None = None
+    def __init__(
+        self, es1: EventStructure, es2: EventStructure, kind: BisimulationKind, keys: frozenset[Key]
+    ):
+        self.es1 = es1
+        self.es2 = es2
+        self.kind = kind
+        self.keys = keys
 
     def __len__(self) -> int:
-        members = self.pairs if self.pairs is not None else self.matchings
-        return len(members) if members is not None else 0
+        return len(self.keys)
 
     def sorted_members(self) -> list:
-        if self.pairs is not None:
-            return sorted(self.pairs, key=lambda p: (p[0].mask, p[1].mask))
-        assert self.matchings is not None
-        return sorted(self.matchings, key=lambda m: (m.mask1, m.mask2, m.pairs))
+        """The members as objects, ordered by first mask, second mask, pairs."""
+        es1, es2 = self.es1, self.es2
+        keys = sorted(self.keys, key=lambda k: (k[0], k[2], k[1]))
+        if self.kind.posetal:
+            weak = self.kind.branching
+            return [Matching(es1, es2, m1, m2, pairs, weak) for m1, pairs, m2 in keys]
+        return [(Configuration(es1, m1), Configuration(es2, m2)) for m1, _, m2 in keys]
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[Configuration, Configuration]] | None:
+        return None if self.kind.posetal else frozenset(self.sorted_members())
+
+    @cached_property
+    def matchings(self) -> frozenset[Matching] | None:
+        return frozenset(self.sorted_members()) if self.kind.posetal else None
 
 
 @dataclass(frozen=True)
@@ -84,8 +103,8 @@ class Verdict:
 
 class Engine:
     """The moves of one structure pair under one kind, per side (1 or 2):
-    transitions, single events, silent reachability, termination, pomset
-    isomorphism and matching extension."""
+    Spoiler's challenges and Duplicator's answers, single events, silent
+    reachability, termination and pomset isomorphism classes."""
 
     def __init__(
         self,
@@ -93,39 +112,82 @@ class Engine:
         es2: EventStructure,
         kind: BisimulationKind,
         strong_tau_erasure: bool = False,
-        caps: Caps | None = None,
     ):
         self.es1 = es1
         self.es2 = es2
         self.kind = kind
-        self.caps = caps or es1.caps
+        self.caps = es1.caps
         self.strong_tau_erasure = strong_tau_erasure
+        self.posetal = kind.posetal
         self.step = kind.step_moves
         self.branching = kind.branching
         self.erase = True if self.branching else strong_tau_erasure
+        self._es = (None, es1, es2)
         self._classes: dict[tuple[int, int], int] = {}
         self._class_reps: dict[tuple, list[tuple[int, int, int]]] = {}
+        self._singles: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._iso_answers: dict[tuple[int, int], dict[int, list[tuple[int, None]]]] = {}
 
-    def trans(self, side: int, mask: int) -> tuple[tuple[int, int], ...]:
-        es = self.es1 if side == 1 else self.es2
-        return es.transition_masks(mask, self.step)
+    def challenges(self, side: int, mask: int) -> Sequence[tuple[int, int]]:
+        """The moves of one side from a configuration, as (added events,
+        target): single events for hp and hhp, transitions otherwise."""
+        es = self._es[side]
+        if not self.posetal:
+            return es.transition_masks(mask, self.step)
+        moves = self._singles.get((side, mask))
+        if moves is None:
+            moves = tuple((1 << e, mask | 1 << e) for e in es.enabled(mask))
+            self._singles[side, mask] = moves
+        return moves
+
+    def answers(
+        self, side: int, x: int, pairs: Pairs | None, other: int
+    ) -> Iterable[tuple[int, Pairs | None]]:
+        """The answers of the other side, from its configuration other, to
+        the challenge x of the given side, as (target, pairs) in move
+        order.  pairs is the matching as (es1 index, es2 index) pairs, None
+        for pomset and step, whose answers are the isomorphic transitions.
+        A matching is extended by the answering event, and the extensions
+        are found as they are asked for; in branching mode a silent event
+        is answered by a silent one, which keeps the pairs."""
+        o = 3 - side
+        if not self.posetal:
+            table = self._iso_answers.get((o, other))
+            if table is None:
+                table = self._iso_answers[o, other] = {}
+                for y, target in self.challenges(o, other):
+                    table.setdefault(self.iso_class(o, y), []).append((target, None))
+            return table.get(self.iso_class(side, x), ())
+        enabled = self._es[o].enabled(other)
+        if self.branching and x & self._es[side].silent_mask:
+            silent = self._es[o].silent_mask
+            return [(other | 1 << f, pairs) for f in enabled if silent >> f & 1]
+        return self._extensions(side, x.bit_length() - 1, pairs, other, enabled)
+
+    def _extensions(
+        self, side: int, e: int, pairs: Pairs, other: int, enabled: tuple[int, ...]
+    ) -> Iterator[tuple[int, Pairs]]:
+        es1, es2 = self.es1, self.es2
+        for f in enabled:
+            pair = (e, f) if side == 1 else (f, e)
+            if extends(es1, es2, pairs, *pair):
+                yield other | 1 << f, tuple(sorted(pairs + (pair,)))
 
     def singles(self, side: int, mask: int) -> tuple[int, ...]:
-        es = self.es1 if side == 1 else self.es2
-        return es.enabled(mask)
+        return self._es[side].enabled(mask)
 
     def iso_class(self, side: int, mask: int) -> int:
         """The isomorphism class id of a pomset of one side, silent events
         erased first when erase is set: the index, among the masks of
         either side classified so far, of the first one isomorphic to it."""
-        es = self.es1 if side == 1 else self.es2
+        es = self._es[side]
         if self.erase:
             mask &= ~es.silent_mask
         cid = self._classes.get((side, mask))
         if cid is None:
             reps = self._class_reps.setdefault(signature(es, bits(mask)), [])
             for rep, rep_side, rep_mask in reps:
-                if iso_masks(self.es1 if rep_side == 1 else self.es2, rep_mask, es, mask, False):
+                if iso_masks(self._es[rep_side], rep_mask, es, mask, False):
                     cid = rep
                     break
             else:
@@ -135,37 +197,30 @@ class Engine:
         return cid
 
     def tau_reach(self, side: int, mask: int) -> tuple[int, ...]:
-        es = self.es1 if side == 1 else self.es2
-        return es.tau_reachable_masks(mask)
+        return self._es[side].tau_reachable_masks(mask)
 
     def terminates(self, side: int, mask: int) -> bool:
-        es = self.es1 if side == 1 else self.es2
-        return es.terminates_mask(mask)
-
-    def ext_ok(self, pairs: Pairs, e1: int, e2: int) -> bool:
-        """Can the pair set absorb (e1 in es1, e2 in es2)?  Labels must
-        agree; order against every existing pair must agree both ways."""
-        return extends(self.es1, self.es2, pairs, e1, e2)
+        return self._es[side].terminates_mask(mask)
 
 
 # ----------------------------------------------------------------------
 # candidate universes
 
 
-def _pair_universe(eng: Engine) -> list[PairKey]:
+def _pair_universe(eng: Engine) -> list[Key]:
     masks1 = sorted(eng.es1.configuration_masks())
     masks2 = sorted(eng.es2.configuration_masks())
     total = len(masks1) * len(masks2)
     if total > eng.caps.max_positions:
         raise CapExceededError("positions", eng.caps.max_positions, total)
-    return [(m1, m2) for m1 in masks1 for m2 in masks2]
+    return [(m1, None, m2) for m1 in masks1 for m2 in masks2]
 
 
-def triple_universe(eng: Engine) -> list[TripleKey]:
+def triple_universe(eng: Engine) -> list[Key]:
     """Every matching of every configuration pair, weak in branching
     mode, as sorted (first mask, pairs, second mask) keys."""
     weak = eng.branching
-    out: list[TripleKey] = []
+    out: list[Key] = []
     limit = eng.caps.max_positions
     for c1 in eng.es1.configurations():
         for c2 in eng.es2.configurations():
@@ -178,91 +233,34 @@ def triple_universe(eng: Engine) -> list[TripleKey]:
 
 
 # ----------------------------------------------------------------------
-# transfer conditions: one helper per key shape, called for each side.
-# Keys are built as (own, other) or (own, pairs, other) and reversed for
-# side 2, and the events of a new pair likewise.  Strong mode is branching
-# mode with the other side's silent lead-in cut to the key itself, no
-# silent absorption and no termination obligation.  Callers check only
-# keys in alive, so a lookup of the key itself may be skipped.
+# transfer conditions
 
 
-def _pair_side_ok(eng: Engine, key: PairKey, alive: set[PairKey], side: int) -> bool:
-    """Whether every move of one side (1 or 2) of a configuration pair is
-    answered by the other side within alive."""
-    d = 1 if side == 1 else -1
-    own, other = key[::d]
-    o = 3 - side
-    branching = eng.branching
-    silent = (eng.es1, eng.es2)[side - 1].silent_mask if branching else 0
-    reach = eng.tau_reach(o, other) if branching else (other,)
-    trans, iso_class = eng.trans, eng.iso_class
-    for x, own_p in trans(side, own):
-        if not x & ~silent and (own_p, other)[::d] in alive:
-            continue
-        cls = iso_class(side, x)
-        answered = False
-        for o0 in reach:
-            if o0 == other or (own, o0)[::d] in alive:
-                for y, other_p in trans(o, o0):
-                    if iso_class(o, y) == cls and (own_p, other_p)[::d] in alive:
-                        answered = True
-                        break
-                if answered:
-                    break
-        if not answered:
-            return False
-    if branching and eng.terminates(side, own):
-        for o0 in reach:
-            if (own, o0)[::d] in alive and eng.terminates(o, o0):
-                return True
-        return False
-    return True
-
-
-def _triple_side_ok(eng: Engine, key: TripleKey, alive: set[TripleKey], side: int) -> bool:
-    """Whether every single-event move of one side (1 or 2) of a matching
-    is answered by the other side within alive.  A visible event extends
-    the matching; in branching mode a silent one is absorbed, or answered
-    by a silent event that leaves the pairs as they are."""
+def _side_ok(eng: Engine, key: Key, alive: set[Key], side: int) -> bool:
+    """Whether every challenge of one side (1 or 2) of the key is answered
+    by the other side within alive.  The key is read as (own, pairs,
+    other), reversed for side 2.  Strong mode is branching mode with the
+    other side's silent lead-in cut to the key itself, no silent
+    absorption and no termination obligation.  Callers check only keys in
+    alive, so a lookup of the key itself may be skipped."""
     d = 1 if side == 1 else -1
     own, pairs, other = key[::d]
     o = 3 - side
     branching = eng.branching
-    es_own, es_other = (eng.es1, eng.es2)[::d]
-    silent = es_own.silent_mask if branching else 0
-    silent_other = es_other.silent_mask
+    silent = eng.es1.silent_mask if side == 1 else eng.es2.silent_mask
     reach = eng.tau_reach(o, other) if branching else (other,)
-    ext_ok = eng.ext_ok
-    for e in es_own.enabled(own):
-        own_p = own | 1 << e
-        tau = silent >> e & 1
-        if tau and (own_p, pairs, other)[::d] in alive:
+    answers = eng.answers
+    for x, own_p in eng.challenges(side, own):
+        if branching and not x & ~silent and (own_p, pairs, other)[::d] in alive:
             continue
-        answered = False
         for o0 in reach:
             if o0 == other or (own, pairs, o0)[::d] in alive:
-                for f in es_other.enabled(o0):
-                    if tau:
-                        if not silent_other >> f & 1:
-                            continue
-                        new_pairs = pairs
-                    else:
-                        pair = (e, f)[::d]
-                        if not ext_ok(pairs, *pair):
-                            continue
-                        new_pairs = tuple(sorted(pairs + (pair,)))
-                    if (own_p, new_pairs, o0 | 1 << f)[::d] in alive:
-                        answered = True
-                        break
-                if answered:
+                if any((own_p, p, t)[::d] in alive for t, p in answers(side, x, pairs, o0)):
                     break
-        if not answered:
+        else:
             return False
     if branching and eng.terminates(side, own):
-        for o0 in reach:
-            if (own, pairs, o0)[::d] in alive and eng.terminates(o, o0):
-                return True
-        return False
+        return any((own, pairs, o0)[::d] in alive and eng.terminates(o, o0) for o0 in reach)
     return True
 
 
@@ -270,7 +268,7 @@ def _triple_side_ok(eng: Engine, key: TripleKey, alive: set[TripleKey], side: in
 # hereditary closure
 
 
-def hereditary_ok(eng: Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
+def hereditary_ok(eng: Engine, key: Key, alive: set[Key]) -> bool:
     """Whether every synchronized shrinking of the matching stays in the set.
 
     Shrinking restricts one side to a smaller configuration and keeps only
@@ -286,7 +284,7 @@ def hereditary_ok(eng: Engine, key: TripleKey, alive: set[TripleKey]) -> bool:
     )
 
 
-def _shrinkings_ok(eng: Engine, key: TripleKey, alive: set[TripleKey], side: int) -> bool:
+def _shrinkings_ok(eng: Engine, key: Key, alive: set[Key], side: int) -> bool:
     """hereditary_ok for the shrinkings of one side (1 or 2) of the matching."""
     m1, pairs, m2 = key
     own, other = (m1, m2) if side == 1 else (m2, m1)
@@ -322,8 +320,7 @@ def _shrinkings_ok(eng: Engine, key: TripleKey, alive: set[TripleKey], side: int
 
 def _supported(eng: Engine, key: Key, alive: set[Key]) -> bool:
     """Whether the key's transfer conditions hold, for both sides, within alive."""
-    side_ok = _triple_side_ok if len(key) == 3 else _pair_side_ok
-    return side_ok(eng, key, alive, 1) and side_ok(eng, key, alive, 2)
+    return _side_ok(eng, key, alive, 1) and _side_ok(eng, key, alive, 2)
 
 
 def _prune(eng: Engine, universe: list[Key], alive: set[Key]) -> None:
@@ -345,10 +342,9 @@ def greatest_bisimulation(
     kind: BisimulationKind,
     *,
     strong_tau_erasure: bool = False,
-    caps: Caps | None = None,
 ) -> Relation:
     """The largest relation closed under the kind's transfer conditions."""
-    eng = Engine(es1, es2, kind, strong_tau_erasure, caps)
+    eng = Engine(es1, es2, kind, strong_tau_erasure)
     universe = triple_universe(eng) if kind.posetal else _pair_universe(eng)
     alive: set[Key] = set(universe)
     _prune(eng, universe, alive)
@@ -358,13 +354,7 @@ def greatest_bisimulation(
         ]:
             alive.difference_update(demoted)
             _prune(eng, universe, alive)
-    if kind.posetal:
-        matchings = frozenset(
-            Matching(es1, es2, m1, m2, pairs, eng.branching) for m1, pairs, m2 in alive
-        )
-        return Relation(es1, es2, kind, matchings=matchings)
-    pairs = frozenset((Configuration(es1, m1), Configuration(es2, m2)) for m1, m2 in alive)
-    return Relation(es1, es2, kind, pairs=pairs)
+    return Relation(es1, es2, kind, frozenset(alive))
 
 
 def check(
@@ -373,20 +363,10 @@ def check(
     kind: BisimulationKind,
     *,
     strong_tau_erasure: bool = False,
-    caps: Caps | None = None,
 ) -> Verdict:
     """Decide equivalence; the empty pair or matching must survive."""
-    relation = greatest_bisimulation(
-        es1, es2, kind, strong_tau_erasure=strong_tau_erasure, caps=caps
-    )
-    if kind.posetal:
-        assert relation.matchings is not None
-        empty = Matching(es1, es2, 0, 0, (), kind.branching)
-        equivalent = empty in relation.matchings
-    else:
-        assert relation.pairs is not None
-        empty_pair = (es1.empty_configuration(), es2.empty_configuration())
-        equivalent = empty_pair in relation.pairs
+    relation = greatest_bisimulation(es1, es2, kind, strong_tau_erasure=strong_tau_erasure)
+    equivalent = (0, () if kind.posetal else None, 0) in relation.keys
     return Verdict(kind, equivalent, relation if equivalent else None)
 
 
@@ -432,7 +412,7 @@ def verify_witness(
             raise MalformedWitnessError("configuration pair belongs to a different structure pair")
         if not es1.is_configuration_mask(c1.mask) or not es2.is_configuration_mask(c2.mask):
             raise MalformedWitnessError(f"{c1} or {c2} is not a configuration")
-        keys.add((c1.mask, c2.mask))
+        keys.add((c1.mask, None, c2.mask))
     return all(_supported(eng, key, keys) for key in keys) and (
         kind.flavor is not Flavor.HHP or all(hereditary_ok(eng, key, keys) for key in keys)
     )

@@ -205,6 +205,7 @@ class EventStructure:
 
         self._configs: tuple[Configuration, ...] | None = None
         self._config_masks: frozenset[int] | None = None
+        self._sorted_masks: tuple[int, ...] = ()
         self._enabled_cache: dict[int, tuple[int, ...]] = {}
         self._trans_cache: dict[tuple[int, bool], tuple[tuple[int, int], ...]] = {}
         self._tau_cache: dict[int, tuple[int, ...]] = {}
@@ -309,7 +310,8 @@ class EventStructure:
                         masks.add(m2)
                         stack.append(m2)
             self._config_masks = frozenset(masks)
-            self._configs = tuple(Configuration(self, m) for m in sorted(masks))
+            self._sorted_masks = tuple(sorted(masks))
+            self._configs = tuple(Configuration(self, m) for m in self._sorted_masks)
         return self._configs
 
     def configuration_masks(self) -> frozenset[int]:
@@ -335,8 +337,9 @@ class EventStructure:
         key = (mask, step)
         cached = self._trans_cache.get(key)
         if cached is None:
+            self.configurations()
             out = []
-            for target in sorted(self.configuration_masks()):
+            for target in self._sorted_masks:
                 if target != mask and target & mask == mask:
                     x = target & ~mask
                     if step and not self.pairwise_concurrent(x):

@@ -83,7 +83,9 @@ class _Side:
     def silent_reach(self, c: int) -> list[int]:
         """Configurations that add only silent events to c, c included."""
         return [
-            d for d in self.configs if d & c == c and all(self.silent[i] for i in self.events(d & ~c))
+            d
+            for d in self.configs
+            if d & c == c and all(self.silent[i] for i in self.events(d & ~c))
         ]
 
 

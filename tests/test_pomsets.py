@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pesbisim import (
     BisimulationKind,
+    Configuration,
     EventStructure,
     Flavor,
     Matching,
@@ -22,7 +23,7 @@ from pesbisim import (
 )
 from pesbisim.games import build_arena
 from pesbisim.oracle import Engine, hereditary_ok
-from pesbisim.pomsets import iso_masks
+from pesbisim.pomsets import extends, iso_masks
 
 from conftest import ch, pa, par, random_es, seq, tau, tau_par
 
@@ -151,22 +152,35 @@ def test_extend_identical_structures():
     s = seq()
     eng = Engine(s, s, HP_STRONG)
     a, b = s.event_index("a"), s.event_index("b")
-    assert eng.ext_ok((), a, a)
-    assert eng.ext_ok(((a, a),), b, b)
+    for side in (1, 2):
+        assert list(eng.answers(side, 1 << a, (), 0)) == [(1 << a, ((a, a),))]
+        grown = [(s.full_mask, ((a, a), (b, b)))]
+        assert list(eng.answers(side, 1 << b, ((a, a),), 1 << a)) == grown
 
 
 def test_extend_across_structures():
-    left, right = ch(), seq()
+    # after a, SEQ's b is caused by a; of the two b events of the right
+    # side only b1 is, so only b1 answers it, and b2 has no answer
+    left = seq()
+    right = EventStructure("AB1B2", [("a", "a"), ("b1", "b"), ("b2", "b")], [("a", "b1")])
     eng = Engine(left, right, HP_STRONG)
-    pairs = ((left.event_index("a1"), right.event_index("a")),)
-    assert eng.ext_ok(pairs, left.event_index("b1"), right.event_index("b"))
-    assert not eng.ext_ok(pairs, left.event_index("b2"), right.event_index("b"))
+    a, b = left.event_index("a"), left.event_index("b")
+    ra, b1, b2 = (right.event_index(e) for e in ("a", "b1", "b2"))
+    pairs = ((a, ra),)
+    grown = ((a, ra), (b, b1))
+    assert list(eng.answers(1, 1 << b, pairs, 1 << ra)) == [((1 << ra) | (1 << b1), grown)]
+    assert list(eng.answers(2, 1 << b1, pairs, 1 << a)) == [(left.full_mask, grown)]
+    assert list(eng.answers(2, 1 << b2, pairs, 1 << a)) == []
 
 
 def test_extend_label_mismatch():
     p = par()
+    a, b = p.event_index("a"), p.event_index("b")
     eng = Engine(p, p, HP_STRONG)
-    assert not eng.ext_ok((), p.event_index("a"), p.event_index("b"))
+    for side in (1, 2):
+        # b is enabled too, but only a carries the challenged label
+        assert list(eng.answers(side, 1 << a, (), 0)) == [(1 << a, ((a, a),))]
+        assert list(eng.answers(side, 1 << b, (), 0)) == [(1 << b, ((b, b),))]
     # b alone is no configuration of SEQ, so it is never offered to extend
     s = seq()
     assert Engine(s, s, HP_STRONG).singles(2, 0) == (s.event_index("a"),)
@@ -176,7 +190,9 @@ def test_extend_order_violation():
     left, right = par(), seq()
     eng = Engine(left, right, HP_STRONG)
     pairs = ((left.event_index("a"), right.event_index("a")),)
-    assert not eng.ext_ok(pairs, left.event_index("b"), right.event_index("b"))
+    lb, rb = left.event_index("b"), right.event_index("b")
+    assert list(eng.answers(1, 1 << lb, pairs, right.mask_of(["a"]))) == []
+    assert list(eng.answers(2, 1 << rb, pairs, left.mask_of(["a"]))) == []
 
 
 def test_extend_precondition_breach():
@@ -282,25 +298,43 @@ def test_containment_needs_pair_subset():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_extension_agrees_with_enumeration(seed):
-    """ext_ok accepts a pair exactly when the extended pair set is a
+    """extends accepts a pair exactly when the extended pair set is a
     well-formed matching of the extended configurations, and exactly when
-    it shows up among their enumerated matchings."""
+    it shows up among their enumerated matchings.  Engine.answers offers
+    a single-event challenge of either side exactly those extensions, in
+    the answering side's enabled order; in branching mode it answers a
+    silent challenge with the other side's silent events instead, keeping
+    the pairs."""
     rng = random.Random(seed)
     es1 = random_es(rng, "A")
     es2 = random_es(rng, "B")
-    eng = Engine(es1, es2, HP_STRONG)
-    c1 = rng.choice(es1.configurations())
-    c2 = rng.choice(es2.configurations())
-    for m in enumerate_matchings(c1, c2, weak=False):
-        for i in es1.enabled(c1.mask):
-            for j in es2.enabled(c2.mask):
-                bigger = enumerate_matchings(
-                    es1.configuration(es1.events_of_mask(c1.mask | 1 << i)),
-                    es2.configuration(es2.events_of_mask(c2.mask | 1 << j)),
-                    weak=False,
+    c1 = rng.choice(es1.configurations()).mask
+    c2 = rng.choice(es2.configurations()).mask
+    for kind in (HP_STRONG, HP_BRANCHING):
+        weak = kind.branching
+        eng = Engine(es1, es2, kind)
+        for m in enumerate_matchings(Configuration(es1, c1), Configuration(es2, c2), weak=weak):
+            for side in (1, 2):
+                own_es, own, other_es, other = (
+                    (es1, c1, es2, c2) if side == 1 else (es2, c2, es1, c1)
                 )
-                extended = tuple(sorted(m.pairs + ((i, j),)))
-                grown = Matching(es1, es2, c1.mask | 1 << i, c2.mask | 1 << j, extended, False)
-                accepted = eng.ext_ok(m.pairs, i, j)
-                assert accepted == (grown.invalid_reason() is None)
-                assert accepted == (extended in {x.pairs for x in bigger})
+                for i in own_es.enabled(own):
+                    expected = []
+                    for j in other_es.enabled(other):
+                        if weak and own_es.silent_mask >> i & 1:
+                            if other_es.silent_mask >> j & 1:
+                                expected.append((other | 1 << j, m.pairs))
+                            continue
+                        pair = (i, j) if side == 1 else (j, i)
+                        n1, n2 = c1 | 1 << pair[0], c2 | 1 << pair[1]
+                        extended = tuple(sorted(m.pairs + (pair,)))
+                        bigger = enumerate_matchings(
+                            Configuration(es1, n1), Configuration(es2, n2), weak=weak
+                        )
+                        grown = Matching(es1, es2, n1, n2, extended, weak)
+                        accepted = extends(es1, es2, m.pairs, *pair)
+                        assert accepted == (grown.invalid_reason() is None)
+                        assert accepted == (extended in {x.pairs for x in bigger})
+                        if accepted:
+                            expected.append((other | 1 << j, extended))
+                    assert list(eng.answers(side, 1 << i, m.pairs, other)) == expected
