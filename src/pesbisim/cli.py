@@ -43,7 +43,8 @@ def _add_common(parser: argparse.ArgumentParser, *, kinds: bool) -> None:
         )
         parser.add_argument(
             "--strong-tau-erasure", action="store_true",
-            help="compare strong-mode pomsets after erasing silent events",
+            help="strong pomset and step: compare pomsets after erasing silent events "
+            "(hp and hhp matchings pair silent events like labelled ones)",
         )
     parser.add_argument("--max-events", type=int, default=Caps.max_events)
     parser.add_argument("--max-configurations", type=int, default=Caps.max_configurations)

@@ -1,15 +1,15 @@
 """Greatest-fixpoint computation of the eight bisimilarities.
 
 The oracle starts from the full candidate universe (all configuration
-pairs, or all matchings for the history-preserving flavors) and removes
-the keys whose transfer conditions fail, in one pass over the universe in
-descending key order.  Configurations only grow, and adding an event sets
-a bit, so the check of a pair key (m1, m2) or a matching key
-(m1, pairs, m2) reads only the key itself, keys with a larger m1, and
-keys with the same m1 and pairs but a larger m2.  Every key a check
-reads besides its own is therefore settled before it, and the key itself
-is taken as alive, as the greatest fixpoint assumes.  The hereditary
-flavors keep an outer loop: demote every matching that has a
+pairs, or, for hp and hhp, all matchings, grown from the empty one by
+the hp answers below) and removes the keys whose transfer conditions
+fail, in one pass in descending key order.  Configurations only grow,
+and adding an event sets a bit, so the check of a pair key (m1, m2) or a
+matching key (m1, pairs, m2) reads only the key itself, keys with a
+larger m1, and keys with the same m1 and pairs but a larger m2.  Every
+key a check reads besides its own is therefore settled before it, and
+the key itself is taken as alive, as the greatest fixpoint assumes.  The
+hereditary flavors keep an outer loop: demote every matching that has a
 pointwise-smaller valid matching outside the current set, then make one
 more pass, until nothing is demoted.  Hereditary closure reads smaller
 keys, so it cannot join the single pass.  Two structures are equivalent
@@ -20,7 +20,8 @@ rule is written once and checked for side 1 and for side 2):
 
 * strong: some C2 --Y--> C2' with Y isomorphic to X and the successor
   pair in the relation.  Silent labels compare as ordinary labels unless
-  the strong_tau_erasure switch is set.
+  the strong_tau_erasure switch is set, which acts on pomset and step
+  only: strong matchings pair silent events like labelled ones.
 * branching: either X is all silent and (C1',C2) is in the relation, or
   some silent-reachable C2_0 with (C1,C2_0) in the relation makes a single
   move C2_0 --Y--> C2' with the visible parts of X and Y isomorphic and
@@ -32,8 +33,8 @@ None for pomset and step, and one helper checks the transfer conditions
 of either side.  Its challenges are ``Engine.challenges``: single events
 for hp and hhp, transitions otherwise.  Its answers are
 ``Engine.answers``: the isomorphic transitions, or the extensions of the
-matching by the answering event, or, in branching hp, the silent
-answers to a silent event, which keep the pairs.
+matching by the answering event (one causal-past mask comparison each),
+or, in branching hp, silent answers to a silent event, keeping the pairs.
 
 The move layer, ``Engine``, ``triple_universe`` and ``hereditary_ok``, is
 public: the games read Spoiler's challenges and Duplicator's matches
@@ -45,12 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, MalformedWitnessError
 from .kinds import BisimulationKind, Flavor
 from .pes import Configuration, EventStructure, bits
-from .pomsets import Matching, Pairs, enumerate_matchings, extends, iso_masks, signature
+from .pomsets import Matching, Pairs, iso_masks, signature
+from .pomsets import enumerate_matchings  # noqa: F401  perfbench/tracing.py wraps this name
 
 Key = tuple[int, Pairs | None, int]
 """(first mask, pairs, second mask); pairs is None for pomset and step."""
@@ -104,7 +106,8 @@ class Verdict:
 class Engine:
     """The moves of one structure pair under one kind, per side (1 or 2):
     Spoiler's challenges and Duplicator's answers, single events, silent
-    reachability, termination and pomset isomorphism classes."""
+    reachability, termination and pomset isomorphism classes.
+    strong_tau_erasure acts on strong pomset and step only."""
 
     def __init__(
         self,
@@ -123,6 +126,7 @@ class Engine:
         self.branching = kind.branching
         self.erase = True if self.branching else strong_tau_erasure
         self._es = (None, es1, es2)
+        self._names = (None, *([es.label(e).name for e in es.events] for es in (es1, es2)))
         self._classes: dict[tuple[int, int], int] = {}
         self._class_reps: dict[tuple, list[tuple[int, int, int]]] = {}
         self._singles: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -143,13 +147,12 @@ class Engine:
     def answers(
         self, side: int, x: int, pairs: Pairs | None, other: int
     ) -> Iterable[tuple[int, Pairs | None]]:
-        """The answers of the other side, from its configuration other, to
-        the challenge x of the given side, as (target, pairs) in move
-        order.  pairs is the matching as (es1 index, es2 index) pairs, None
-        for pomset and step, whose answers are the isomorphic transitions.
-        A matching is extended by the answering event, and the extensions
-        are found as they are asked for; in branching mode a silent event
-        is answered by a silent one, which keeps the pairs."""
+        """The other side's answers, from its configuration other, to the
+        challenge x of the given side, as (target, pairs) in move order.
+        pairs is the matching as (es1 index, es2 index) pairs, None for
+        pomset and step, whose answers are the isomorphic transitions.  A
+        matching is extended lazily by the answering event; in branching
+        mode a silent event is answered by a silent one, keeping the pairs."""
         o = 3 - side
         if not self.posetal:
             table = self._iso_answers.get((o, other))
@@ -158,20 +161,24 @@ class Engine:
                 for y, target in self.challenges(o, other):
                     table.setdefault(self.iso_class(o, y), []).append((target, None))
             return table.get(self.iso_class(side, x), ())
-        enabled = self._es[o].enabled(other)
-        if self.branching and x & self._es[side].silent_mask:
-            silent = self._es[o].silent_mask
-            return [(other | 1 << f, pairs) for f in enabled if silent >> f & 1]
-        return self._extensions(side, x.bit_length() - 1, pairs, other, enabled)
-
-    def _extensions(
-        self, side: int, e: int, pairs: Pairs, other: int, enabled: tuple[int, ...]
-    ) -> Iterator[tuple[int, Pairs]]:
-        es1, es2 = self.es1, self.es2
-        for f in enabled:
-            pair = (e, f) if side == 1 else (f, e)
-            if extends(es1, es2, pairs, *pair):
-                yield other | 1 << f, tuple(sorted(pairs + (pair,)))
+        es, es_o = self._es[side], self._es[o]
+        enabled = es_o.enabled(other)
+        if self.branching and x & es.silent_mask:
+            return [(other | 1 << f, pairs) for f in enabled if es_o.silent_mask >> f & 1]
+        # e and each answer f are enabled, so maximal once added: (e, f) may join
+        # the pairs iff the labels agree and f's matched past is the image of e's.
+        e, a = x.bit_length() - 1, side - 1
+        past, image = es.past_masks[e], 0
+        for p in pairs:
+            if past >> p[a] & 1:
+                image |= 1 << p[1 - a]
+        matched = other & ~es_o.silent_mask if self.branching else other
+        name, names, pasts = self._names[side][e], self._names[o], es_o.past_masks
+        return (
+            (other | 1 << f, tuple(sorted(pairs + (((e, f) if a == 0 else (f, e)),))))
+            for f in enabled
+            if pasts[f] & matched == image and names[f] == name
+        )
 
     def singles(self, side: int, mask: int) -> tuple[int, ...]:
         return self._es[side].enabled(mask)
@@ -217,17 +224,32 @@ def _pair_universe(eng: Engine) -> list[Key]:
 
 
 def triple_universe(eng: Engine) -> list[Key]:
-    """Every matching of every configuration pair, weak in branching
-    mode, as sorted (first mask, pairs, second mask) keys."""
-    weak = eng.branching
-    out: list[Key] = []
+    """Every matching of every configuration pair, weak in branching mode,
+    as sorted keys, grown from the empty matching by each enabled side-1
+    event later than all of m1 in one linearisation of es1 (so a strong
+    key is found once), through ``Engine.answers`` or, if silent in
+    branching mode, alone; and in branching mode by each silent side-2 event."""
+    eng.es1.configurations(), eng.es2.configurations()  # the configurations cap applies
+    silent1, silent2 = (eng.es1.silent_mask, eng.es2.silent_mask) if eng.branching else (0, 0)
     limit = eng.caps.max_positions
-    for c1 in eng.es1.configurations():
-        for c2 in eng.es2.configurations():
-            for m in enumerate_matchings(c1, c2, weak=weak):
-                out.append((m.mask1, m.pairs, m.mask2))
-                if len(out) > limit:
-                    raise CapExceededError("positions", limit, len(out))
+    rank = [(past.bit_count(), e) for e, past in enumerate(eng.es1.past_masks)]
+    later = [sum(1 << g for g, r in enumerate(rank) if r > q) for q in rank]
+    out: list[Key] = [(0, (), 0)]
+    seen = set(out)
+    for m1, pairs, m2 in out:  # out is the queue
+        found = [(m1, pairs, m2 | 1 << f) for f in eng.singles(2, m2) if silent2 >> f & 1]
+        for e in eng.singles(1, m1):
+            if m1 & later[e]:
+                continue
+            if silent1 >> e & 1:
+                found.append((m1 | 1 << e, pairs, m2))
+            else:
+                found += [(m1 | 1 << e, p, t) for t, p in eng.answers(1, 1 << e, pairs, m2)]
+        new = [key for key in found if key not in seen]
+        seen.update(new)
+        out += new
+        if len(out) > limit:
+            raise CapExceededError("positions", limit, limit + 1)
     out.sort()
     return out
 
@@ -364,7 +386,8 @@ def check(
     *,
     strong_tau_erasure: bool = False,
 ) -> Verdict:
-    """Decide equivalence; the empty pair or matching must survive."""
+    """Decide equivalence; the empty pair or matching must survive.
+    strong_tau_erasure acts on strong pomset and step only."""
     relation = greatest_bisimulation(es1, es2, kind, strong_tau_erasure=strong_tau_erasure)
     equivalent = (0, () if kind.posetal else None, 0) in relation.keys
     return Verdict(kind, equivalent, relation if equivalent else None)

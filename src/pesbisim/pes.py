@@ -257,6 +257,11 @@ class EventStructure:
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self._below[j] >> i & 1)
 
+    @property
+    def past_masks(self) -> tuple[int, ...]:
+        """Per event index, the mask of its causal past, itself included."""
+        return self._below
+
     def in_conflict(self, e1: str, e2: str) -> bool:
         return bool(self._conflict[self._resolve(e1)] >> self._resolve(e2) & 1)
 

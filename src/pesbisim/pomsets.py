@@ -5,9 +5,10 @@ carrying the induced causal order and labels.  Two pomsets are isomorphic
 when a bijection preserves labels and order in both directions.  A
 Matching is such a bijection between two configurations, either over all
 events (strong) or over the visible events of each side (weak).  One
-backtracking search over label-respecting bijections serves both the
-isomorphism test and the enumeration of matchings, and it grows its
-bijection with the same extension rule the engines use, ``extends``.
+backtracking search over label-respecting bijections, grown by
+``extends``, serves both the isomorphism test and the enumeration of
+matchings.  The engines do not call ``extends``: they extend matchings
+by enabled events only, where one causal-past mask comparison decides.
 """
 
 from __future__ import annotations

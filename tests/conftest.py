@@ -108,12 +108,15 @@ def random_es(
     max_events: int = 5,
     alphabet: str = "abc",
     tau_prob: float = 0.2,
+    termination: bool = False,
 ) -> EventStructure:
     """A valid random structure: sparse causes along a seeded permutation
     of the events, so causality runs against declaration order as often
     as with it, and conflicts only between events with no common causal
     successor (a declared conflict below a join would contradict
-    hereditary closure)."""
+    hereditary closure).  With termination set, the termination policy
+    is drawn too: maximal, none, or an explicit set of configurations;
+    otherwise it is maximal and the draws are those of earlier corpora."""
     n = rng.randint(0, max_events)
     events = [
         (f"e{i}", "tau" if rng.random() < tau_prob else rng.choice(alphabet))
@@ -144,7 +147,13 @@ def random_es(
                 continue
             if rng.random() < 0.2:
                 conflicts.append((f"e{i}", f"e{j}"))
-    return EventStructure(name, events, causes, conflicts)
+    es = EventStructure(name, events, causes, conflicts)
+    if not termination:
+        return es
+    policy = rng.choice(("maximal", "none", "explicit"))
+    if policy == "explicit":
+        policy = [c.events for c in es.configurations() if rng.random() < 0.4]
+    return EventStructure(name, events, causes, conflicts, policy)
 
 
 def random_pairs(seed: int, count: int, **kwargs):

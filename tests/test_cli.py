@@ -86,6 +86,16 @@ def test_cap_exceeded_exits_three(capsys):
     assert "error:" in err and "events" in err
 
 
+def test_matching_universe_cap_exits_three(capsys):
+    # CHOICE3 and CHAIN have 20 matchings (and 64 configuration pairs)
+    argv = ["check", "--rel", "hp", "--mode", "strong", "--engine", "oracle"]
+    files = [fx("choice3.pes"), fx("chain.pes")]
+    assert run_main(capsys, argv + ["--max-positions", "20"] + files)[0] == 0
+    code, _, err = run_main(capsys, argv + ["--max-positions", "19"] + files)
+    assert code == 3
+    assert "positions limit is 19, needed 20" in err
+
+
 def test_engine_disagreement_exits_four(capsys, monkeypatch):
     import pesbisim.cli as cli_mod
 

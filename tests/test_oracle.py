@@ -10,11 +10,14 @@ import pytest
 from pesbisim import (
     ALL_KINDS,
     BisimulationKind,
+    CapExceededError,
+    Caps,
     Flavor,
     MalformedWitnessError,
     Matching,
     Mode,
     check,
+    game_check,
     greatest_bisimulation,
     oracle,
     verify_witness,
@@ -40,6 +43,7 @@ from conftest import (
 )
 
 POMSET_STRONG = BisimulationKind(Flavor.POMSET, Mode.STRONG)
+HP_STRONG = BisimulationKind(Flavor.HP, Mode.STRONG)
 HP_BRANCHING = BisimulationKind(Flavor.HP, Mode.BRANCHING)
 STRONG_KINDS = tuple(k for k in ALL_KINDS if k.mode is Mode.STRONG)
 BRANCHING_KINDS = tuple(k for k in ALL_KINDS if k.mode is Mode.BRANCHING)
@@ -180,6 +184,44 @@ def _triple_candidates(a, b, weak):
         for c2 in b.configurations():
             out.extend(enumerate_matchings(c1, c2, weak=weak))
     return out
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [pair[::d] for pair in fixture_pairs() for d in (1, -1)],
+        random_pairs(71, 60, max_events=6, alphabet="a"),
+        random_pairs(72, 60, max_events=6),
+        random_pairs(73, 60, max_events=6, tau_prob=0.5),
+    ],
+    ids=["fixtures", "one-label", "mixed", "silent-heavy"],
+)
+def test_universe_is_every_matching(pairs):
+    """The universe grown forward from the empty matching holds every
+    matching of every configuration pair, once each, in key order."""
+    for es1, es2 in pairs:
+        for kind in (HP_STRONG, HP_BRANCHING):
+            matchings = _triple_candidates(es1, es2, kind.branching)
+            want = [(m.mask1, m.pairs, m.mask2) for m in matchings]
+            assert len(set(want)) == len(want)
+            assert triple_universe(Engine(es1, es2, kind)) == sorted(want), (es1.name, es2.name)
+
+
+def test_universe_enforces_the_positions_cap():
+    """Three a events against three have 34 matchings (1 + 9 + 18 + 6): a
+    positions cap of 34 holds them, and 33 raises CapExceededError in the
+    oracle and in the hhp game."""
+    events = [(f"e{i}", "a") for i in range(3)]
+    for mode in Mode:
+        hp, hhp = BisimulationKind(Flavor.HP, mode), BisimulationKind(Flavor.HHP, mode)
+        a, b = (EventStructure(n, events, caps=Caps(max_positions=34)) for n in "AB")
+        assert len(triple_universe(Engine(a, b, hp))) == 34
+        a, b = (EventStructure(n, events, caps=Caps(max_positions=33)) for n in "AB")
+        with pytest.raises(CapExceededError) as info:
+            check(a, b, hp)
+        assert (info.value.cap, info.value.actual) == ("positions", 34)
+        with pytest.raises(CapExceededError):
+            game_check(a, b, hhp)
 
 
 def test_greatest_relation_is_maximal():

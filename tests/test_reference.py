@@ -25,8 +25,9 @@ def _keys(relation, kind) -> set:
         [pair[::d] for pair in fixture_pairs() for d in (1, -1)],
         random_pairs(61, 40, max_events=4),
         random_pairs(62, 24, max_events=4, alphabet="a"),
+        random_pairs(63, 40, max_events=4, alphabet="ab", tau_prob=0.3, termination=True),
     ],
-    ids=["fixtures", "mixed", "one-label"],
+    ids=["fixtures", "mixed", "one-label", "termination"],
 )
 def test_engines_match_the_definitions(pairs):
     for es1, es2 in pairs:
