@@ -165,10 +165,16 @@ def random_pairs(seed: int, count: int, **kwargs):
     ]
 
 
-def renamed_copy(es: EventStructure, prefix: str = "r") -> EventStructure:
-    """The same structure under fresh event identifiers."""
-    names = {e: f"{prefix}{i}" for i, e in enumerate(es.events)}
-    events = [(names[e], es.label(e).name) for e in es.events]
+def renamed_copy(
+    es: EventStructure, prefix: str = "r", rng: random.Random | None = None
+) -> EventStructure:
+    """The same structure under fresh event identifiers, declared in a
+    shuffled order when rng is given."""
+    order = list(es.events)
+    if rng is not None:
+        rng.shuffle(order)
+    names = {e: f"{prefix}{i}" for i, e in enumerate(order)}
+    events = [(names[e], es.label(e).name) for e in order]
     causes = [
         (names[x], names[y]) for x in es.events for y in es.events if x != y and es.leq(x, y)
     ]
@@ -186,3 +192,38 @@ def renamed_copy(es: EventStructure, prefix: str = "r") -> EventStructure:
     else:
         termination = policy.kind
     return EventStructure(f"{es.name}-renamed", events, causes, conflicts, termination)
+
+
+def antichain(n: int, labels: tuple[str, ...] = ("a",), name: str = "ANTI") -> EventStructure:
+    """n concurrent events labelled in turn from labels: ANTI_n with one
+    label, PAR_n with ("a", "b")."""
+    return EventStructure(f"{name}_{n}", [(f"e{i}", labels[i % len(labels)]) for i in range(n)])
+
+
+def twin_rich_pairs(max_events: int = 5) -> list[tuple[EventStructure, EventStructure]]:
+    """Structures made mostly of twins, interchangeable events: ANTI_n and
+    PAR_n (2 <= n <= max_events) against a shuffled copy, against the copy
+    with one event relabelled, and against themselves with a conflict
+    between their first two events, which stay twins of each other only."""
+    rng = random.Random(81)
+    out = []
+    for n in range(2, max_events + 1):
+        for base in (antichain(n), antichain(n, ("a", "b"), "PAR")):
+            events = [(e, base.label(e).name) for e in base.events]
+            relabelled = events[:-1] + [(events[-1][0], "z")]
+            out += [
+                (base, renamed_copy(base, rng=rng)),
+                (base, renamed_copy(EventStructure("MUT", relabelled), rng=rng)),
+                (base, EventStructure("CONF", events, [], [("e0", "e1")])),
+            ]
+    return out
+
+
+def apart_by_termination() -> tuple[EventStructure, EventStructure]:
+    """Two concurrent a events that terminate only after a1, against the
+    same shape terminating only after b2.  The terminating set keeps the
+    two a events of each side from being twins: swapping them moves it."""
+    return (
+        EventStructure("TERM_A1", [("a1", "a"), ("a2", "a")], termination=[["a1"]]),
+        EventStructure("TERM_B2", [("b1", "a"), ("b2", "a")], termination=[["b2"]]),
+    )

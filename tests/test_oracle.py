@@ -27,6 +27,7 @@ from pesbisim.pes import Configuration, EventStructure, bits
 from pesbisim.pomsets import iso_masks
 
 from conftest import (
+    apart_by_termination,
     ch,
     chain,
     choice3,
@@ -40,6 +41,7 @@ from conftest import (
     renamed_copy,
     seq,
     tau,
+    twin_rich_pairs,
 )
 
 POMSET_STRONG = BisimulationKind(Flavor.POMSET, Mode.STRONG)
@@ -342,11 +344,13 @@ def _naive_greatest(es1, es2, kind, strong_tau_erasure):
 @pytest.mark.parametrize(
     "pairs",
     [
-        fixture_pairs(),
+        fixture_pairs() + [apart_by_termination()],
         random_pairs(51, 80, max_events=5, alphabet="a"),
         random_pairs(52, 80, max_events=5),
+        twin_rich_pairs(5),
+        random_pairs(53, 40, max_events=5, alphabet="a", termination=True),
     ],
-    ids=["fixtures", "one-label", "mixed"],
+    ids=["fixtures", "one-label", "mixed", "twins", "one-label-termination"],
 )
 def test_single_pass_matches_naive_fixpoint(pairs):
     for es1, es2 in pairs:

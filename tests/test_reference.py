@@ -10,7 +10,7 @@ import pytest
 from pesbisim import ALL_KINDS, Mode, game_check, greatest_bisimulation
 
 import reference
-from conftest import fixture_pairs, random_pairs
+from conftest import apart_by_termination, fixture_pairs, random_pairs, twin_rich_pairs
 
 
 def _keys(relation, kind) -> set:
@@ -26,8 +26,10 @@ def _keys(relation, kind) -> set:
         random_pairs(61, 40, max_events=4),
         random_pairs(62, 24, max_events=4, alphabet="a"),
         random_pairs(63, 40, max_events=4, alphabet="ab", tau_prob=0.3, termination=True),
+        twin_rich_pairs(4) + [apart_by_termination()],
+        random_pairs(64, 24, max_events=4, alphabet="a", termination=True),
     ],
-    ids=["fixtures", "mixed", "one-label", "termination"],
+    ids=["fixtures", "mixed", "one-label", "termination", "twins", "one-label-termination"],
 )
 def test_engines_match_the_definitions(pairs):
     for es1, es2 in pairs:
