@@ -15,6 +15,17 @@ more pass, until nothing is demoted.  Hereditary closure reads smaller
 keys, so it cannot join the single pass.  Two structures are equivalent
 exactly when the empty pair (or empty matching) survives.
 
+Twins are events of one structure with the same label whose swap keeps
+causality, conflict and the terminating configurations
+(``EventStructure.twin_masks``).  Permuting twins on either side maps
+the greatest relation onto itself, so the pass checks only the largest
+key of each orbit and drops the orbit if that key fails.  An orbit is
+the keys with as many pairs in each pair of twin classes and, per side,
+as many events of each class in the configuration, which with the pairs
+fixes how many of them no pair covers.  A check reads only larger keys,
+whose orbits' largest keys are larger still, hence settled already; hhp
+demotion checks only those largest keys too.
+
 Transfer conditions, per challenge C1 --X--> C1' of either side (each
 rule is written once and checked for side 1 and for side 2):
 
@@ -345,13 +356,38 @@ def _supported(eng: Engine, key: Key, alive: set[Key]) -> bool:
     return _side_ok(eng, key, alive, 1) and _side_ok(eng, key, alive, 2)
 
 
-def _prune(eng: Engine, universe: list[Key], alive: set[Key]) -> None:
-    """Remove from alive, in one descending pass over the sorted universe,
-    every key whose transfer conditions fail.  A check reads only its key
-    and later keys, which the pass has already settled."""
-    for key in reversed(universe):
+def _orbits(eng: Engine, universe: list[Key]) -> tuple[list[Key], dict[Key, list[Key]]]:
+    """The largest key of each orbit of the sorted universe, ascending, and
+    the orbit of each; with no twins, the universe itself and no orbits."""
+    t1, t2 = eng.es1.twin_masks, eng.es2.twin_masks
+    if len(set(t1)) == len(t1) and len(set(t2)) == len(t2):
+        return universe, {}
+    slot1, slot2 = ({c: k for k, c in enumerate(set(t))} for t in (t1, t2))
+    width = max(len(t1), len(t2)).bit_length()  # wide enough for any count of pairs
+    weight = {
+        (i, j): 1 << width * (slot1[a] * len(slot2) + slot2[b])
+        for i, a in enumerate(t1)
+        for j, b in enumerate(t2)
+    }
+    counts1, counts2 = (
+        {m: tuple((m & c).bit_count() for c in slot) for m in es.configuration_masks()}
+        for es, slot in ((eng.es1, slot1), (eng.es2, slot2))
+    )
+    orbits: dict[tuple, list[Key]] = {}
+    for key in universe:
+        m1, pairs, m2 = key
+        matched = sum(map(weight.__getitem__, pairs or ()))
+        orbits.setdefault((matched, counts1[m1], counts2[m2]), []).append(key)
+    by_rep = {orbit[-1]: orbit for orbit in orbits.values()}
+    return sorted(by_rep), by_rep
+
+
+def _prune(eng: Engine, reps: list[Key], orbits: dict[Key, list[Key]], alive: set[Key]) -> None:
+    """Remove from alive, in one descending pass over the representatives,
+    every orbit whose representative's transfer conditions fail."""
+    for key in reversed(reps):
         if key in alive and not _supported(eng, key, alive):
-            alive.discard(key)
+            alive.difference_update(orbits.get(key, (key,)))
 
 
 # ----------------------------------------------------------------------
@@ -369,13 +405,14 @@ def greatest_bisimulation(
     eng = Engine(es1, es2, kind, strong_tau_erasure)
     universe = triple_universe(eng) if kind.posetal else _pair_universe(eng)
     alive: set[Key] = set(universe)
-    _prune(eng, universe, alive)
+    reps, orbits = _orbits(eng, universe)
+    _prune(eng, reps, orbits, alive)
     if kind.flavor is Flavor.HHP:
         while demoted := [
-            key for key in universe if key in alive and not hereditary_ok(eng, key, alive)
+            key for key in reps if key in alive and not hereditary_ok(eng, key, alive)
         ]:
-            alive.difference_update(demoted)
-            _prune(eng, universe, alive)
+            alive.difference_update(*(orbits.get(key, (key,)) for key in demoted))
+            _prune(eng, reps, orbits, alive)
     return Relation(es1, es2, kind, frozenset(alive))
 
 

@@ -20,6 +20,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
@@ -261,6 +262,27 @@ class EventStructure:
     def past_masks(self) -> tuple[int, ...]:
         """Per event index, the mask of its causal past, itself included."""
         return self._below
+
+    @cached_property
+    def twin_masks(self) -> tuple[int, ...]:
+        """Per event index, the mask of its twin class.  Twins have the same
+        label, and swapping them maps causality, conflict and the
+        terminating configurations onto themselves.  Being twins is an
+        equivalence, so every permutation within the classes is an
+        automorphism of the structure."""
+        n = self._n
+        return tuple(sum(1 << j for j in range(n) if self._twins(i, j)) for i in range(n))
+
+    def _twins(self, i: int, j: int) -> bool:
+        one, other, both = 1 << i, 1 << j, 1 << i | 1 << j
+        masks = self._termination.masks  # empty unless the policy is explicit
+        return (
+            self._labels[i] == self._labels[j]
+            and self._below[i] ^ one == self._below[j] ^ other
+            and self._above[i] ^ one == self._above[j] ^ other
+            and self._conflict[i] & ~both == self._conflict[j] & ~both
+            and all((m ^ both if (m >> i ^ m >> j) & 1 else m) in masks for m in masks)
+        )
 
     def in_conflict(self, e1: str, e2: str) -> bool:
         return bool(self._conflict[self._resolve(e1)] >> self._resolve(e2) & 1)

@@ -17,7 +17,7 @@ from pesbisim import (
     ValidationError,
 )
 
-from conftest import ch, p0, par, random_es, seq, tau
+from conftest import antichain, apart_by_termination, ch, choice3, p0, par, random_es, seq, tau
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +269,63 @@ def test_explicit_termination_must_be_configuration():
 
 # ----------------------------------------------------------------------
 # validation errors
+
+
+def _twin_classes(es: EventStructure) -> set[frozenset[str]]:
+    return {frozenset(es.events_of_mask(m)) for m in es.twin_masks}
+
+
+def test_twin_classes():
+    """Twins may be in conflict with each other (CHOICE3's a1 and a2),
+    may be silent, and are kept apart by a terminating set that their
+    swap would move."""
+    assert _twin_classes(choice3()) == {
+        frozenset({"a1", "a2"}), frozenset({"af"}), frozenset({"b"})
+    }
+    for n in range(1, 6):
+        every = [f"e{i}" for i in range(n)]
+        assert _twin_classes(antichain(n)) == {frozenset(every)}
+        alternate = {frozenset(every[0::2]), frozenset(every[1::2])} - {frozenset()}
+        assert _twin_classes(antichain(n, ("a", "b"))) == alternate
+    fork = EventStructure(
+        "FORK", [("t1", "tau"), ("t2", "tau"), ("a", "a")], [("t1", "a"), ("t2", "a")]
+    )
+    assert _twin_classes(fork) == {frozenset({"t1", "t2"}), frozenset({"a"})}
+    assert _twin_classes(ch()) == {frozenset({e}) for e in ch().events}
+    left, right = apart_by_termination()
+    assert _twin_classes(left) == {frozenset({"a1"}), frozenset({"a2"})}
+    assert _twin_classes(right) == {frozenset({"b1"}), frozenset({"b2"})}
+    either = EventStructure("EITHER", [("a1", "a"), ("a2", "a")], termination=[["a1"], ["a2"]])
+    assert _twin_classes(either) == {frozenset({"a1", "a2"})}
+
+
+def test_twins_are_the_swaps_that_are_automorphisms():
+    """Two events are twins exactly when swapping them preserves labels,
+    causality, conflict and which configurations terminate, each read
+    from the declarations."""
+    rng = random.Random(14)
+    for trial in range(200):
+        es = random_es(rng, "R", max_events=6, alphabet="ab", termination=True)
+        names = es.events
+        masks = [c.mask for c in es.configurations()]
+        for i, x in enumerate(names):
+            for j, y in enumerate(names):
+                swap = {**{e: e for e in names}, x: y, y: x}
+                automorphism = (
+                    es.label(x) == es.label(y)
+                    and all(
+                        es.leq(a, b) == es.leq(swap[a], swap[b])
+                        and es.in_conflict(a, b) == es.in_conflict(swap[a], swap[b])
+                        for a in names
+                        for b in names
+                    )
+                    and all(
+                        es.terminates_mask(m)
+                        == es.terminates_mask(es.mask_of(swap[e] for e in es.events_of_mask(m)))
+                        for m in masks
+                    )
+                )
+                assert bool(es.twin_masks[i] >> j & 1) == automorphism, (trial, x, y)
 
 
 def test_duplicate_event_rejected():
