@@ -20,7 +20,6 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
@@ -210,6 +209,7 @@ class EventStructure:
         self._enabled_cache: dict[int, tuple[int, ...]] = {}
         self._trans_cache: dict[tuple[int, bool], tuple[tuple[int, int], ...]] = {}
         self._tau_cache: dict[int, tuple[int, ...]] = {}
+        self._twin_masks: tuple[int, ...] | None = None
 
     def _resolve(self, event: str) -> int:
         try:
@@ -263,15 +263,16 @@ class EventStructure:
         """Per event index, the mask of its causal past, itself included."""
         return self._below
 
-    @cached_property
+    @property
     def twin_masks(self) -> tuple[int, ...]:
         """Per event index, the mask of its twin class.  Twins have the same
-        label, and swapping them maps causality, conflict and the
-        terminating configurations onto themselves.  Being twins is an
-        equivalence, so every permutation within the classes is an
-        automorphism of the structure."""
-        n = self._n
-        return tuple(sum(1 << j for j in range(n) if self._twins(i, j)) for i in range(n))
+        label, and swapping them keeps causality, conflict and the
+        terminating configurations.  Being twins is an equivalence, so every
+        permutation within the classes is an automorphism of the structure."""
+        if self._twin_masks is None:  # a cached_property's __dict__ would slow every read
+            every = range(self._n)
+            self._twin_masks = tuple(sum(1 << j for j in every if self._twins(i, j)) for i in every)
+        return self._twin_masks
 
     def _twins(self, i: int, j: int) -> bool:
         one, other, both = 1 << i, 1 << j, 1 << i | 1 << j
