@@ -22,9 +22,9 @@ the greatest relation onto itself, so the pass checks only the largest
 key of each orbit and drops the orbit if that key fails.  An orbit is
 the keys with as many pairs in each pair of twin classes and, per side,
 as many events of each class in the configuration, which with the pairs
-fixes how many of them no pair covers.  A check reads only larger keys,
-whose orbits' largest keys are larger still, hence settled already; hhp
-demotion checks only those largest keys too.
+fixes how many of them no pair covers.  Besides its own key, a check
+reads only larger keys, and the largest key of their orbit is larger
+still, hence settled already; hhp demotion checks only those keys too.
 
 Transfer conditions, per challenge C1 --X--> C1' of either side (each
 rule is written once and checked for side 1 and for side 2):

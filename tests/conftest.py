@@ -201,14 +201,19 @@ def antichain(n: int, labels: tuple[str, ...] = ("a",), name: str = "ANTI") -> E
 
 
 def twin_rich_pairs(max_events: int = 5) -> list[tuple[EventStructure, EventStructure]]:
-    """Structures made mostly of twins, interchangeable events: ANTI_n and
-    PAR_n (2 <= n <= max_events) against a shuffled copy, against the copy
-    with one event relabelled, and against themselves with a conflict
-    between their first two events, which stay twins of each other only."""
+    """Structures made mostly of twins, interchangeable events: ANTI_n,
+    PAR_n and its silent variant TPAR_n (2 <= n <= max_events) against a
+    shuffled copy, against the copy with one event relabelled, and against
+    themselves with a conflict between their first two events, which stay
+    twins of each other only."""
     rng = random.Random(81)
     out = []
     for n in range(2, max_events + 1):
-        for base in (antichain(n), antichain(n, ("a", "b"), "PAR")):
+        for base in (
+            antichain(n),
+            antichain(n, ("a", "b"), "PAR"),
+            antichain(n, ("a", "tau"), "TPAR"),
+        ):
             events = [(e, base.label(e).name) for e in base.events]
             relabelled = events[:-1] + [(events[-1][0], "z")]
             out += [
