@@ -362,16 +362,15 @@ def _orbits(eng: Engine, universe: list[Key]) -> tuple[list[Key], dict[Key, list
     t1, t2 = eng.es1.twin_masks, eng.es2.twin_masks
     if len(set(t1)) == len(t1) and len(set(t2)) == len(t2):
         return universe, {}
-    slot1, slot2 = ({c: k for k, c in enumerate(set(t))} for t in (t1, t2))
     width = max(len(t1), len(t2)).bit_length()  # wide enough for any count of pairs
-    weight = {
-        (i, j): 1 << width * (slot1[a] * len(slot2) + slot2[b])
+    weight = {  # one count per pair of classes, each class numbered by its lowest event
+        (i, j): 1 << width * ((a & -a).bit_length() * len(t2) + (b & -b).bit_length())
         for i, a in enumerate(t1)
         for j, b in enumerate(t2)
     }
     counts1, counts2 = (
-        {m: tuple((m & c).bit_count() for c in slot) for m in es.configuration_masks()}
-        for es, slot in ((eng.es1, slot1), (eng.es2, slot2))
+        {m: tuple((m & c).bit_count() for c in classes) for m in es.configuration_masks()}
+        for es, classes in ((eng.es1, set(t1)), (eng.es2, set(t2)))
     )
     orbits: dict[tuple, list[Key]] = {}
     for key in universe:

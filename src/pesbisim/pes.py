@@ -271,19 +271,20 @@ class EventStructure:
         permutation within the classes is an automorphism of the structure."""
         if self._twin_masks is None:  # a cached_property's __dict__ would slow every read
             every = range(self._n)
-            self._twin_masks = tuple(sum(1 << j for j in every if self._twins(i, j)) for i in every)
+            own = [(self._labels[e].name, self._below[e] ^ 1 << e) for e in every]  # strict past
+            self._twin_masks = tuple(
+                sum(1 << j for j in every if own[j] == own[i] and (j == i or self._twins(i, j)))
+                for i in every
+            )
         return self._twin_masks
 
     def _twins(self, i: int, j: int) -> bool:
-        one, other, both = 1 << i, 1 << j, 1 << i | 1 << j
-        masks = self._termination.masks  # empty unless the policy is explicit
-        return (
-            self._labels[i] == self._labels[j]
-            and self._below[i] ^ one == self._below[j] ^ other
-            and self._above[i] ^ one == self._above[j] ^ other
-            and self._conflict[i] & ~both == self._conflict[j] & ~both
-            and all((m ^ both if (m >> i ^ m >> j) & 1 else m) in masks for m in masks)
-        )
+        """Whether swapping i and j, of one label and one strict past, also
+        keeps their futures, conflicts and the terminating configurations."""
+        both = 1 << i | 1 << j
+        ends = self._termination.masks  # empty unless the policy is explicit
+        differ = (self._above[i] ^ self._above[j] | self._conflict[i] ^ self._conflict[j]) & ~both
+        return not differ and all((m ^ both if (m >> i ^ m >> j) & 1 else m) in ends for m in ends)
 
     def in_conflict(self, e1: str, e2: str) -> bool:
         return bool(self._conflict[self._resolve(e1)] >> self._resolve(e2) & 1)
