@@ -27,6 +27,7 @@ from pesbisim.pes import Configuration, EventStructure, bits
 from pesbisim.pomsets import iso_masks
 
 from conftest import (
+    antichain,
     apart_by_termination,
     ch,
     chain,
@@ -152,6 +153,24 @@ def test_verify_rejects_malformed_members():
     p = par()
     with pytest.raises(MalformedWitnessError):
         verify_witness(p, p, hp_strong, [Matching(p, p, 1, 2, ((0, 1),), False)])
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        # mask 2 alone is b without its cause a
+        (lambda s, p, q: Matching(s, s, 2, 2, ((1, 1),), False), "not configurations"),
+        (lambda s, p, q: Matching(q, q, 3, 3, ((0, 0), (0, 1)), False), "maps an event twice"),
+        # a before b in SEQ, a and b concurrent in PAR
+        (lambda s, p, q: Matching(s, p, 3, 3, ((0, 0), (1, 1)), False), "order violation"),
+    ],
+    ids=["endpoints", "twice", "order"],
+)
+def test_verify_rejects_malformed_matchings(make, reason):
+    s, p, q = seq(), par(), antichain(2)
+    m = make(s, p, q)
+    with pytest.raises(MalformedWitnessError, match=reason):
+        verify_witness(m.es1, m.es2, HP_STRONG, [m])
 
 
 def _members(a, b, kind, masks):
