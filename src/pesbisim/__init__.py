@@ -35,7 +35,6 @@ from .pes import (
     Caps,
     Configuration,
     EventStructure,
-    Label,
     TerminationPolicy,
     SILENT_LABEL,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "GamePosition",
     "GameVerdict",
     "IllegalMoveError",
-    "Label",
     "MalformedWitnessError",
     "Matching",
     "Mode",

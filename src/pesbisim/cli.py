@@ -31,24 +31,29 @@ def _caps_from_args(args: argparse.Namespace) -> Caps:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser, *, kinds: bool) -> None:
-    if kinds:
+def _add_common(parser: argparse.ArgumentParser, *, required: bool) -> None:
+    parser.add_argument(
+        "--rel", required=required, choices=["pomset", "step", "hp", "hhp"],
+        help="bisimilarity flavor",
+    )
+    parser.add_argument(
+        "--mode", required=required, choices=["strong", "branching"],
+        help="strong or branching transfer conditions",
+    )
+    parser.add_argument(
+        "--strong-tau-erasure", action="store_true",
+        help="strong pomset and step: compare pomsets after erasing silent events "
+        "(hp and hhp matchings pair silent events like labelled ones)",
+    )
+    for cap, limited in (
+        ("events", "events a structure may declare"),
+        ("configurations", "configurations a structure may have"),
+        ("positions", "game positions, or oracle candidate pairs or matchings"),
+    ):
         parser.add_argument(
-            "--rel", required=True, choices=["pomset", "step", "hp", "hhp"],
-            help="bisimilarity flavor",
+            f"--max-{cap}", type=int, default=getattr(Caps, f"max_{cap}"),
+            help=f"most {limited} (default %(default)s)",
         )
-        parser.add_argument(
-            "--mode", required=True, choices=["strong", "branching"],
-            help="strong or branching transfer conditions",
-        )
-        parser.add_argument(
-            "--strong-tau-erasure", action="store_true",
-            help="strong pomset and step: compare pomsets after erasing silent events "
-            "(hp and hhp matchings pair silent events like labelled ones)",
-        )
-    parser.add_argument("--max-events", type=int, default=Caps.max_events)
-    parser.add_argument("--max-configurations", type=int, default=Caps.max_configurations)
-    parser.add_argument("--max-positions", type=int, default=Caps.max_positions)
 
 
 def _load(path: str, caps: Caps) -> EventStructure:
@@ -242,15 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide equivalence of two structures")
-    _add_common(p_check, kinds=True)
-    p_check.add_argument("--engine", choices=["oracle", "game", "both"], default="both")
+    _add_common(p_check, required=True)
+    p_check.add_argument(
+        "--engine", choices=["oracle", "game", "both"], default="both",
+        help="oracle (relation fixpoint), game, or both, which must agree (default %(default)s)",
+    )
     p_check.add_argument("--json", action="store_true", help="emit a JSON report")
     p_check.add_argument("--witness", action="store_true", help="include the full witness")
     p_check.add_argument("files", nargs=2, metavar="FILE")
     p_check.set_defaults(func=cmd_check)
 
     p_play = sub.add_parser("play", help="play the bisimulation game interactively")
-    _add_common(p_play, kinds=True)
+    _add_common(p_play, required=True)
     p_play.add_argument(
         "--as", dest="human_role", required=True, choices=["spoiler", "duplicator"],
         help="role played by the human",
@@ -259,11 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_play.set_defaults(func=cmd_play)
 
     p_export = sub.add_parser("export", help="emit DOT graphs")
-    p_export.add_argument("--what", required=True, choices=["configs", "arena"])
-    p_export.add_argument("--rel", choices=["pomset", "step", "hp", "hhp"])
-    p_export.add_argument("--mode", choices=["strong", "branching"])
-    p_export.add_argument("--strong-tau-erasure", action="store_true")
-    _add_common(p_export, kinds=False)
+    p_export.add_argument(
+        "--what", required=True, choices=["configs", "arena"],
+        help="configs: the configuration graph of one file; arena: the solved game "
+        "arena of two files, which needs --rel and --mode",
+    )
+    _add_common(p_export, required=False)
     p_export.add_argument("files", nargs="+", metavar="FILE")
     p_export.set_defaults(func=cmd_export)
     return parser

@@ -12,7 +12,7 @@ class PesBisimError(Exception):
 
 
 class ValidationError(PesBisimError):
-    """An event structure declaration violates a structural rule."""
+    """An event structure declaration or another input violates a rule."""
 
 
 class CapExceededError(PesBisimError):

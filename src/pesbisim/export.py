@@ -34,18 +34,17 @@ def arena_dot(arena: Arena, solution: Solution) -> str:
     """Positions as nodes (Spoiler-owned boxes, Duplicator-owned
     diamonds) coloured by winner, moves as rule-labelled edges."""
     lines = [f"digraph {_quote(arena.es1.name + '_vs_' + arena.es2.name)} {{"]
-    for i, pos in enumerate(arena.positions):
+    demoted = set(solution.demoted_ids)
+    for i, (pos, w) in enumerate(zip(arena.positions, solution.win)):
         shape = "box" if pos.owner is Role.SPOILER else "diamond"
-        color = "palegreen" if solution.winner[pos] is Role.DUPLICATOR else "lightcoral"
-        extra = " peripheries=2" if pos in solution.demoted else ""
+        color = "palegreen" if w is Role.DUPLICATOR else "lightcoral"
+        extra = " peripheries=2" if i in demoted else ""
         lines.append(
             f"  n{i} [label={_quote(arena.describe(pos))} shape={shape} "
             f"style=filled fillcolor={color}{extra}];"
         )
-    for i, pos in enumerate(arena.positions):
-        for mv in arena.moves[pos]:
-            lines.append(
-                f"  n{i} -> n{arena.index[mv.target]} [label={_quote(mv.rule)}];"
-            )
+    for i, (rules, out) in enumerate(zip(arena.rules, arena.succ)):
+        for rule, j in zip(rules, out):
+            lines.append(f"  n{i} -> n{j} [label={_quote(rule)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

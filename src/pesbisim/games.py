@@ -29,9 +29,9 @@ Wins only ever move from Duplicator to Spoiler, so this gives what
 solving again from scratch would.  A play reaching a demoted position
 ends there; ``play_turn`` decides, for ``replay`` and the interactive
 ``play`` command alike, when a play ends, who wins and what the machine
-plays.  The ``GamePosition`` and ``Move`` objects that plays, strategies
-and exports are told in are views of the keys and ids, built on first
-access.
+plays.  The ``GamePosition`` and ``Move`` objects that plays and
+strategies are told in are views of the keys and ids, built on first
+access; the DOT export reads the ids.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ class Arena:
     tuple (swapped, left, right, pairs, challenge) whose challenge is None
     or (kind, x_mask, target_mask).  succ[i] holds the ids of the targets
     of its moves and rules[i] the moves' rule names, in move order; the
-    builder and the solver work on these alone.  The object views,
-    positions (a GamePosition per id), index (its inverse) and moves
-    (each position's Move tuple), are built on first access."""
+    builder, the solver and the DOT export work on these alone.  The
+    object views, positions (a GamePosition per id) and moves (each
+    position's Move tuple), are built on first access."""
 
     def __init__(
         self,
@@ -129,10 +129,6 @@ class Arena:
         )
 
     @cached_property
-    def index(self) -> dict[GamePosition, int]:
-        return {pos: i for i, pos in enumerate(self.positions)}
-
-    @cached_property
     def moves(self) -> dict[GamePosition, tuple[Move, ...]]:
         positions = self.positions
         return {
@@ -146,14 +142,6 @@ class Arena:
 
     def sides(self, pos: GamePosition) -> tuple[EventStructure, EventStructure]:
         return (self.es2, self.es1) if pos.swapped else (self.es1, self.es2)
-
-    def underlying_triple(self, pos: GamePosition) -> tuple[int, Pairs, int]:
-        """The matching as (first-structure mask, pairs, second-structure
-        mask), independent of orientation."""
-        assert pos.pairs is not None
-        if pos.swapped:
-            return (pos.right, pos.pairs, pos.left)
-        return (pos.left, pos.pairs, pos.right)
 
     def describe(self, pos: GamePosition) -> str:
         es_l, es_r = self.sides(pos)
@@ -286,13 +274,13 @@ def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
     """The game's moves from a position key, as (rule, target key) in move
     order.  Spoiler's challenges and Duplicator's matches are the
     engine's challenges and answers."""
-    branching = eng.branching
-    silent = (0, eng.es1.silent_mask, eng.es2.silent_mask)
-    challenges, answers, terminates = eng.challenges, eng.answers, eng.terminates
+    branching, es = eng.branching, eng.es
+    challenges, answers = eng.challenges, eng.answers
 
     def moves(key: Key) -> list[tuple[str, Key]]:
         sw, left, right, pairs, ch = key
         sl, sr = (2, 1) if sw else (1, 2)
+        es_l, es_r = es[sl], es[sr]
         if ch is None:
             out = [
                 ("spoiler-challenge-left", (sw, left, right, pairs, ("transition", x, t)))
@@ -302,7 +290,7 @@ def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
                 ("spoiler-challenge-right", (not sw, right, left, pairs, ("transition", y, t)))
                 for y, t in challenges(sr, right)
             ]
-            if branching and (ends := terminates(sl, left)) != terminates(sr, right):
+            if branching and (ends := es_l.terminates_mask(left)) != es_r.terminates_mask(right):
                 # the side that terminates alone is challenged, as the left one
                 turned = (sw, left, right) if ends else (not sw, right, left)
                 out.append(("spoiler-termination-challenge", (*turned, pairs, _TERMINATION)))
@@ -311,11 +299,11 @@ def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
         if challenge == "termination":
             return [
                 ("duplicator-match", (sw, left, m0, pairs, None))
-                for m0 in eng.tau_reach(sr, right)
-                if m0 != right and terminates(sr, m0)
+                for m0 in es_r.tau_reachable_masks(right)
+                if m0 != right and es_r.terminates_mask(m0)
             ]
         out = []
-        if branching and not x & ~silent[sl]:
+        if branching and not x & ~es_l.silent_mask:
             out.append(("duplicator-absorb-tau", (sw, target, right, pairs, None)))
         out += [
             ("duplicator-match", (sw, target, t, p, None)) for t, p in answers(sl, x, pairs, right)
@@ -323,8 +311,8 @@ def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
         if branching:
             out += [
                 ("duplicator-tau-step", (sw, left, right | 1 << e, pairs, None))
-                for e in eng.singles(sr, right)
-                if silent[sr] >> e & 1
+                for e in es_r.enabled(right)
+                if es_r.silent_mask >> e & 1
             ]
         return out
 

@@ -56,7 +56,6 @@ definition of every move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, MalformedWitnessError
@@ -71,9 +70,7 @@ Key = tuple[int, Pairs | None, int]
 
 class Relation:
     """A set of related states, kept as keys (first mask, pairs, second
-    mask), pairs None for pomset and step.  The object views, pairs (the
-    configuration pairs, for pomset and step) and matchings (for hp and
-    hhp), are built on first access; the other one is None."""
+    mask), pairs None for pomset and step."""
 
     def __init__(
         self, es1: EventStructure, es2: EventStructure, kind: BisimulationKind, keys: frozenset[Key]
@@ -95,14 +92,6 @@ class Relation:
             return [Matching(es1, es2, m1, m2, pairs, weak) for m1, pairs, m2 in keys]
         return [(Configuration(es1, m1), Configuration(es2, m2)) for m1, _, m2 in keys]
 
-    @cached_property
-    def pairs(self) -> frozenset[tuple[Configuration, Configuration]] | None:
-        return None if self.kind.posetal else frozenset(self.sorted_members())
-
-    @cached_property
-    def matchings(self) -> frozenset[Matching] | None:
-        return frozenset(self.sorted_members()) if self.kind.posetal else None
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -116,8 +105,9 @@ class Verdict:
 
 class Engine:
     """The moves of one structure pair under one kind, per side (1 or 2):
-    Spoiler's challenges and Duplicator's answers, single events, silent
-    reachability, termination and pomset isomorphism classes.
+    Spoiler's challenges, Duplicator's answers and pomset isomorphism
+    classes.  es[side] is the structure of a side, whose enabled events,
+    silent reachability and termination the callers read directly.
     strong_tau_erasure acts on strong pomset and step only."""
 
     def __init__(
@@ -136,8 +126,7 @@ class Engine:
         self.step = kind.step_moves
         self.branching = kind.branching
         self.erase = True if self.branching else strong_tau_erasure
-        self._es = (None, es1, es2)
-        self._names = (None, *([es.label(e).name for e in es.events] for es in (es1, es2)))
+        self.es = (None, es1, es2)
         self._classes: dict[tuple[int, int], int] = {}
         self._class_reps: dict[tuple, list[tuple[int, int, int]]] = {}
         self._singles: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -146,7 +135,7 @@ class Engine:
     def challenges(self, side: int, mask: int) -> Sequence[tuple[int, int]]:
         """The moves of one side from a configuration, as (added events,
         target): single events for hp and hhp, transitions otherwise."""
-        es = self._es[side]
+        es = self.es[side]
         if not self.posetal:
             return es.transition_masks(mask, self.step)
         moves = self._singles.get((side, mask))
@@ -172,7 +161,7 @@ class Engine:
                 for y, target in self.challenges(o, other):
                     table.setdefault(self.iso_class(o, y), []).append((target, None))
             return table.get(self.iso_class(side, x), ())
-        es, es_o = self._es[side], self._es[o]
+        es, es_o = self.es[side], self.es[o]
         enabled = es_o.enabled(other)
         if self.branching and x & es.silent_mask:
             return [(other | 1 << f, pairs) for f in enabled if es_o.silent_mask >> f & 1]
@@ -184,28 +173,25 @@ class Engine:
             if past >> p[a] & 1:
                 image |= 1 << p[1 - a]
         matched = other & ~es_o.silent_mask if self.branching else other
-        name, names, pasts = self._names[side][e], self._names[o], es_o.past_masks
+        name, names, pasts = es.labels[e], es_o.labels, es_o.past_masks
         return (
             (other | 1 << f, tuple(sorted(pairs + (((e, f) if a == 0 else (f, e)),))))
             for f in enabled
             if pasts[f] & matched == image and names[f] == name
         )
 
-    def singles(self, side: int, mask: int) -> tuple[int, ...]:
-        return self._es[side].enabled(mask)
-
     def iso_class(self, side: int, mask: int) -> int:
         """The isomorphism class id of a pomset of one side, silent events
         erased first when erase is set: the index, among the masks of
         either side classified so far, of the first one isomorphic to it."""
-        es = self._es[side]
+        es = self.es[side]
         if self.erase:
             mask &= ~es.silent_mask
         cid = self._classes.get((side, mask))
         if cid is None:
             reps = self._class_reps.setdefault(signature(es, bits(mask)), [])
             for rep, rep_side, rep_mask in reps:
-                if iso_masks(self._es[rep_side], rep_mask, es, mask, False):
+                if iso_masks(self.es[rep_side], rep_mask, es, mask):
                     cid = rep
                     break
             else:
@@ -213,12 +199,6 @@ class Engine:
                 reps.append((cid, side, mask))
             self._classes[side, mask] = cid
         return cid
-
-    def tau_reach(self, side: int, mask: int) -> tuple[int, ...]:
-        return self._es[side].tau_reachable_masks(mask)
-
-    def terminates(self, side: int, mask: int) -> bool:
-        return self._es[side].terminates_mask(mask)
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +228,8 @@ def triple_universe(eng: Engine) -> list[Key]:
     out: list[Key] = [(0, (), 0)]
     seen = set(out)
     for m1, pairs, m2 in out:  # out is the queue
-        found = [(m1, pairs, m2 | 1 << f) for f in eng.singles(2, m2) if silent2 >> f & 1]
-        for e in eng.singles(1, m1):
+        found = [(m1, pairs, m2 | 1 << f) for f in eng.es2.enabled(m2) if silent2 >> f & 1]
+        for e in eng.es1.enabled(m1):
             if m1 & later[e]:
                 continue
             if silent1 >> e & 1:
@@ -278,10 +258,10 @@ def _side_ok(eng: Engine, key: Key, alive: set[Key], side: int) -> bool:
     alive, so a lookup of the key itself may be skipped."""
     d = 1 if side == 1 else -1
     own, pairs, other = key[::d]
-    o = 3 - side
+    es_own, es_o = eng.es[side], eng.es[3 - side]
     branching = eng.branching
-    silent = eng.es1.silent_mask if side == 1 else eng.es2.silent_mask
-    reach = eng.tau_reach(o, other) if branching else (other,)
+    silent = es_own.silent_mask
+    reach = es_o.tau_reachable_masks(other) if branching else (other,)
     answers = eng.answers
     for x, own_p in eng.challenges(side, own):
         if branching and not x & ~silent and (own_p, pairs, other)[::d] in alive:
@@ -292,8 +272,8 @@ def _side_ok(eng: Engine, key: Key, alive: set[Key], side: int) -> bool:
                     break
         else:
             return False
-    if branching and eng.terminates(side, own):
-        return any((own, pairs, o0)[::d] in alive and eng.terminates(o, o0) for o0 in reach)
+    if branching and es_own.terminates_mask(own):
+        return any((own, pairs, o0)[::d] in alive and es_o.terminates_mask(o0) for o0 in reach)
     return True
 
 

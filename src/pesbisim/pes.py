@@ -3,8 +3,8 @@
 An event structure couples a finite set of labelled events with a causality
 partial order and a hereditary, irreflexive conflict relation.  Its states
 are configurations: finite event sets that are conflict-free and downward
-closed under causality.  The label name ``tau`` is reserved for silent
-events.
+closed under causality.  A label is a plain name; the name ``tau`` is
+reserved for silent events.
 
 Construction validates the declarations and closes causality and
 conflict into per-event bitmasks.  Events are indexed by declaration
@@ -28,20 +28,6 @@ SILENT_LABEL = "tau"
 
 
 @dataclass(frozen=True)
-class Label:
-    """An event label; the name ``tau`` is reserved for silent events."""
-
-    name: str
-
-    @property
-    def silent(self) -> bool:
-        return self.name == SILENT_LABEL
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
 class Caps:
     """Instance-size limits that turn combinatorial blow-ups into clean errors.
 
@@ -51,6 +37,12 @@ class Caps:
     max_events: int = 12
     max_configurations: int = 4096
     max_positions: int = 200_000
+
+    def __post_init__(self) -> None:
+        # the empty structure has no events, one configuration and one position
+        for name, least in (("max_events", 0), ("max_configurations", 1), ("max_positions", 1)):
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +81,7 @@ class EventStructure:
     conflict.  Causality is closed reflexively and transitively, conflict
     symmetrically and hereditarily.  termination is 'maximal', 'none', or
     an iterable of event-id sets naming the terminating configurations.
+    The labels attribute holds the label name of each event index.
     """
 
     def __init__(
@@ -112,14 +105,14 @@ class EventStructure:
         self.name = name
         self.caps = caps
         self._events: tuple[str, ...] = tuple(ids)
-        self._labels: tuple[Label, ...] = tuple(Label(lbl) for _, lbl in events)
+        self.labels: tuple[str, ...] = tuple(lbl for _, lbl in events)
         self._index: dict[str, int] = {e: i for i, e in enumerate(ids)}
         n = len(ids)
         self._n = n
         self.full_mask = (1 << n) - 1
         self.silent_mask = 0
-        for i, lbl in enumerate(self._labels):
-            if lbl.silent:
+        for i, lbl in enumerate(self.labels):
+            if lbl == SILENT_LABEL:
                 self.silent_mask |= 1 << i
 
         pred = [0] * n  # declared immediate causes
@@ -228,11 +221,8 @@ class EventStructure:
     def termination(self) -> TerminationPolicy:
         return self._termination
 
-    def label(self, event: str) -> Label:
-        return self._labels[self._resolve(event)]
-
-    def label_of_index(self, i: int) -> Label:
-        return self._labels[i]
+    def label(self, event: str) -> str:
+        return self.labels[self._resolve(event)]
 
     def event_index(self, event: str) -> int:
         return self._resolve(event)
@@ -271,7 +261,7 @@ class EventStructure:
         permutation within the classes is an automorphism of the structure."""
         if self._twin_masks is None:  # a cached_property's __dict__ would slow every read
             every = range(self._n)
-            own = [(self._labels[e].name, self._below[e] ^ 1 << e) for e in every]  # strict past
+            own = [(self.labels[e], self._below[e] ^ 1 << e) for e in every]  # strict past
             self._twin_masks = tuple(
                 sum(1 << j for j in every if own[j] == own[i] and (j == i or self._twins(i, j)))
                 for i in every

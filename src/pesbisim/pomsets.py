@@ -26,7 +26,7 @@ def extends(
 ) -> bool:
     """Whether the pair set can absorb (i in es1, j in es2): the labels
     agree and i, j order the same way against every existing pair."""
-    if es1.label_of_index(i).name != es2.label_of_index(j).name:
+    if es1.labels[i] != es2.labels[j]:
         return False
     for a, b in pairs:
         if es1.leq_idx(a, i) != es2.leq_idx(b, j) or es1.leq_idx(i, a) != es2.leq_idx(j, b):
@@ -63,7 +63,7 @@ def signature(es: EventStructure, idx: list[int]) -> tuple[tuple[str, int, int],
     for i in idx:
         below = sum(1 for j in idx if j != i and es.leq_idx(j, i))
         above = sum(1 for j in idx if j != i and es.leq_idx(i, j))
-        sig.append((es.label_of_index(i).name, below, above))
+        sig.append((es.labels[i], below, above))
     return tuple(sorted(sig))
 
 
@@ -72,12 +72,8 @@ def iso_masks(
     mask1: int,
     es2: EventStructure,
     mask2: int,
-    erase_silent: bool,
 ) -> bool:
-    """Mask-level isomorphism test, optionally erasing silent events first."""
-    if erase_silent:
-        mask1 &= ~es1.silent_mask
-        mask2 &= ~es2.silent_mask
+    """Whether the pomsets on two event masks are isomorphic, silent events included."""
     idx1 = bits(mask1)
     idx2 = bits(mask2)
     if len(idx1) != len(idx2) or signature(es1, idx1) != signature(es2, idx2):
@@ -118,10 +114,10 @@ class Matching:
                 return "matching maps an event twice"
             seen1 |= 1 << i
             seen2 |= 1 << j
-            if es1.label_of_index(i) != es2.label_of_index(j):
+            if es1.labels[i] != es2.labels[j]:
                 return (
                     f"label mismatch: {es1.events[i]} is "
-                    f"{es1.label_of_index(i)}, {es2.events[j]} is {es2.label_of_index(j)}"
+                    f"{es1.labels[i]}, {es2.events[j]} is {es2.labels[j]}"
                 )
         if seen1 != dom or seen2 != cod:
             return "matching is not a bijection over the matched events"

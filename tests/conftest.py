@@ -12,6 +12,7 @@ import random
 from pathlib import Path
 
 from pesbisim import EventStructure
+from pesbisim.pomsets import iso_masks
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -102,6 +103,15 @@ def fixture_pairs() -> list[tuple[EventStructure, EventStructure]]:
     return out
 
 
+def iso_after_erasure(es1, mask1, es2, mask2, erase: bool) -> bool:
+    """iso_masks, with the silent events of both masks erased first when
+    erase is set."""
+    if erase:
+        mask1 &= ~es1.silent_mask
+        mask2 &= ~es2.silent_mask
+    return iso_masks(es1, mask1, es2, mask2)
+
+
 def random_es(
     rng: random.Random,
     name: str,
@@ -174,7 +184,7 @@ def renamed_copy(
     if rng is not None:
         rng.shuffle(order)
     names = {e: f"{prefix}{i}" for i, e in enumerate(order)}
-    events = [(names[e], es.label(e).name) for e in order]
+    events = [(names[e], es.label(e)) for e in order]
     causes = [
         (names[x], names[y]) for x in es.events for y in es.events if x != y and es.leq(x, y)
     ]
@@ -214,7 +224,7 @@ def twin_rich_pairs(max_events: int = 5) -> list[tuple[EventStructure, EventStru
             antichain(n, ("a", "b"), "PAR"),
             antichain(n, ("a", "tau"), "TPAR"),
         ):
-            events = [(e, base.label(e).name) for e in base.events]
+            events = [(e, base.label(e)) for e in base.events]
             relabelled = events[:-1] + [(events[-1][0], "z")]
             out += [
                 (base, renamed_copy(base, rng=rng)),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from pesbisim import EventStructure
+from pesbisim import SILENT_LABEL, EventStructure
 
 
 class _Side:
@@ -39,8 +39,8 @@ class _Side:
     def __init__(self, es: EventStructure):
         names = es.events
         self.n = len(names)
-        self.labels = [es.label(e).name for e in names]
-        self.silent = [es.label(e).silent for e in names]
+        self.labels = [es.label(e) for e in names]
+        self.silent = [label == SILENT_LABEL for label in self.labels]
         self.leq = [[es.leq(a, b) for b in names] for a in names]
         conflict = [[es.in_conflict(a, b) for b in names] for a in names]
         self.configs = [

@@ -272,7 +272,7 @@ def test_criterion_7_witness_mutation():
         if not verify_witness(a, b, kind, relation):
             failures.append(("rejected own witness", a.name, b.name, str(kind)))
             continue
-        members = set(relation.matchings if kind.posetal else relation.pairs)
+        members = set(relation.sorted_members())
         outside = [x for x in _candidate_universe(a, b, kind) if x not in members]
         victim = rng.choice(sorted(members, key=str))
         if outside:

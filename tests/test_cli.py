@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pesbisim.cli import main
+from pesbisim.cli import build_parser, main
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR
 
@@ -94,6 +94,35 @@ def test_matching_universe_cap_exits_three(capsys):
     code, _, err = run_main(capsys, argv + ["--max-positions", "19"] + files)
     assert code == 3
     assert "positions limit is 19, needed 20" in err
+
+
+@pytest.mark.parametrize(
+    "option, value, code",
+    [
+        ("--max-events", "-1", 2),
+        ("--max-configurations", "0", 2),
+        ("--max-positions", "0", 2),
+        # the least caps the empty structures meet
+        ("--max-events", "0", 0),
+        ("--max-configurations", "1", 0),
+        ("--max-positions", "1", 0),
+    ],
+)
+def test_caps_below_the_least_meetable_exit_two(option, value, code, capsys):
+    argv = ["check", "--rel", "hhp", "--mode", "branching", option, value]
+    got, _, err = run_main(capsys, argv + [fx("p0.pes"), fx("p0.pes")])
+    assert got == code
+    if code:
+        assert f"error: {option[2:].replace('-', '_')} must be at least" in err
+
+
+def test_every_option_has_help():
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert set(subcommands) == {"check", "play", "export"}
+    for name, parser in subcommands.items():
+        for action in parser._actions:
+            if action.option_strings:
+                assert action.help, (name, action.option_strings)
 
 
 def test_engine_disagreement_exits_four(capsys, monkeypatch):

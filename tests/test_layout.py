@@ -40,3 +40,27 @@ def test_every_exported_name_resolves():
     missing = [name for name in pesbisim.__all__ if not hasattr(pesbisim, name)]
     assert missing == []
     assert len(set(pesbisim.__all__)) == len(pesbisim.__all__)
+
+
+# Imported for a reader outside the module, with the reason.
+UNUSED_IMPORTS_ALLOWED = {
+    ("oracle.py", "enumerate_matchings"): "perfbench/tracing.py wraps the name in oracle",
+}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {
+        name for name in imported - used if (path.name, name) not in UNUSED_IMPORTS_ALLOWED
+    }
+    assert unused == set(), f"{path.name} imports {sorted(unused)} without using them"

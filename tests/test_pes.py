@@ -410,7 +410,7 @@ def test_closure_idempotent():
             if es.in_conflict(a, b)
         ]
         again = EventStructure(
-            "R", [(e, str(es.label(e))) for e in es.events], closed_causes, closed_conflicts
+            "R", [(e, es.label(e)) for e in es.events], closed_causes, closed_conflicts
         )
         assert set(again.configuration_masks()) == set(es.configuration_masks())
         for a in es.events:

@@ -16,6 +16,7 @@ from pesbisim import (
     Matching,
     MalformedWitnessError,
     Mode,
+    SILENT_LABEL,
     enumerate_matchings,
     verify_witness,
 )
@@ -23,7 +24,7 @@ from pesbisim.games import build_arena
 from pesbisim.oracle import Engine, hereditary_ok, triple_universe
 from pesbisim.pomsets import extends, iso_masks
 
-from conftest import ch, pa, par, random_es, seq, tau, tau_par
+from conftest import ch, iso_after_erasure, pa, par, random_es, seq, tau, tau_par
 
 HP_STRONG = BisimulationKind(Flavor.HP, Mode.STRONG)
 HP_BRANCHING = BisimulationKind(Flavor.HP, Mode.BRANCHING)
@@ -35,8 +36,8 @@ def brute_matchings(es1, ev1, es2, ev2, erase: bool) -> set[tuple[tuple[int, int
     """Every label- and order-preserving bijection between the event
     lists, as sorted index pairs, by trying all permutations."""
     if erase:
-        ev1 = [e for e in ev1 if not es1.label(e).silent]
-        ev2 = [e for e in ev2 if not es2.label(e).silent]
+        ev1 = [e for e in ev1 if es1.label(e) != SILENT_LABEL]
+        ev2 = [e for e in ev2 if es2.label(e) != SILENT_LABEL]
     if len(ev1) != len(ev2):
         return set()
     out = set()
@@ -51,7 +52,7 @@ def brute_matchings(es1, ev1, es2, ev2, erase: bool) -> set[tuple[tuple[int, int
 
 def test_par_antichain_vs_ch_chain_not_isomorphic():
     p, c = par(), ch()
-    assert not iso_masks(p, p.mask_of(["a", "b"]), c, c.mask_of(["a1", "b1"]), False)
+    assert not iso_masks(p, p.mask_of(["a", "b"]), c, c.mask_of(["a1", "b1"]))
 
 
 def test_iso_matches_brute_force():
@@ -65,7 +66,7 @@ def test_iso_matches_brute_force():
         c2 = rng.choice(cfgs2)
         for erase in (False, True):
             expected = bool(brute_matchings(es1, c1.events, es2, c2.events, erase))
-            assert iso_masks(es1, c1.mask, es2, c2.mask, erase) == expected
+            assert iso_after_erasure(es1, c1.mask, es2, c2.mask, erase) == expected
 
 
 def test_iso_is_equivalence_on_samples():
@@ -76,7 +77,7 @@ def test_iso_is_equivalence_on_samples():
         pomsets.append((es, rng.choice(es.configurations()).mask))
 
     def iso(p, q):
-        return iso_masks(*p, *q, False)
+        return iso_masks(*p, *q)
 
     for p in pomsets:
         assert iso(p, p)
@@ -90,8 +91,8 @@ def test_iso_is_equivalence_on_samples():
 def test_silent_erasure_iso():
     t, s = tau(), seq()
     chain, just_a = t.mask_of(["t", "a"]), s.mask_of(["a"])
-    assert not iso_masks(t, chain, s, just_a, False)
-    assert iso_masks(t, chain, s, just_a, True)
+    assert not iso_after_erasure(t, chain, s, just_a, False)
+    assert iso_after_erasure(t, chain, s, just_a, True)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +140,7 @@ def test_enumerate_matches_iso():
         for weak in (False, True):
             got = {m.pairs for m in enumerate_matchings(c1, c2, weak=weak)}
             assert got == brute_matchings(es1, c1.events, es2, c2.events, weak)
-            assert bool(got) == iso_masks(es1, c1.mask, es2, c2.mask, weak)
+            assert bool(got) == iso_after_erasure(es1, c1.mask, es2, c2.mask, weak)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +182,7 @@ def test_extend_label_mismatch():
         assert list(eng.answers(side, 1 << b, (), 0)) == [(1 << b, ((b, b),))]
     # b alone is no configuration of SEQ, so it is never offered to extend
     s = seq()
-    assert Engine(s, s, HP_STRONG).singles(2, 0) == (s.event_index("a"),)
+    assert Engine(s, s, HP_STRONG).es[2].enabled(0) == (s.event_index("a"),)
 
 
 def test_extend_order_violation():
@@ -199,8 +200,8 @@ def test_extend_precondition_breach():
     s = seq()
     eng = Engine(s, s, HP_STRONG)
     a_mask = s.mask_of(["a"])
-    assert eng.singles(1, a_mask) == (s.event_index("b"),)
-    assert eng.singles(1, s.full_mask) == ()
+    assert eng.es[1].enabled(a_mask) == (s.event_index("b"),)
+    assert eng.es[1].enabled(s.full_mask) == ()
 
 
 def _move(arena, pos, rule):

@@ -15,8 +15,8 @@ from conftest import apart_by_termination, fixture_pairs, random_pairs, twin_ric
 
 def _keys(relation, kind) -> set:
     if kind.posetal:
-        return {(m.mask1, m.pairs, m.mask2) for m in relation.matchings}
-    return {(c1.mask, c2.mask) for c1, c2 in relation.pairs}
+        return set(relation.keys)
+    return {(m1, m2) for m1, _, m2 in relation.keys}
 
 
 @pytest.mark.parametrize(
