@@ -12,6 +12,7 @@ from pesbisim import (
     ALL_KINDS,
     ArenaCycleError,
     BisimulationKind,
+    EventStructure,
     Flavor,
     IllegalMoveError,
     Mode,
@@ -224,6 +225,31 @@ def test_hereditary_demotion_flips_the_winner():
         assert pos.challenge is None
         assert plain.winner[pos] is Role.DUPLICATOR
         assert sol.winner[pos] is Role.SPOILER
+
+
+def _concurrent_a(name, n, conflicts):
+    """n concurrent 'a' events e0..e(n-1), with the given index pairs in
+    conflict."""
+    return EventStructure(
+        name,
+        [(f"e{i}", "a") for i in range(n)],
+        [],
+        [(f"e{i}", f"e{j}") for i, j in conflicts],
+    )
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_hhp_demotion_characterization(mode):
+    """Pins the demoted set and the strategy of one pair where demotion
+    takes several rounds.  Hereditary closure by single maximal-event
+    removal gives the same verdict here but 60 demoted ids and 89
+    strategy moves, so a change of the closure rule shows in this test."""
+    left = _concurrent_a("L", 5, [(0, 3), (1, 2), (2, 4), (3, 4)])
+    right = _concurrent_a("R", 4, [(0, 2), (0, 3)])
+    verdict = game_check(left, right, BisimulationKind(Flavor.HHP, mode))
+    assert not verdict.equivalent
+    assert len(verdict.solution.demoted_ids) == 52
+    assert verdict.strategy_size() == 97
 
 
 def _duplicator_picks_to_demoted(arena, solution):
