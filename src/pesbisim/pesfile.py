@@ -13,8 +13,10 @@ Grammar (one statement per line, any amount of surrounding whitespace):
 The first statement must be ``pes``.  Events must be declared before they
 are referenced; at most one ``terminating`` statement is allowed, and the
 policy defaults to ``maximal``.  The label ``tau`` marks silent events.
-A ``#`` at the start of a line or after whitespace begins a comment, with
-one exception: the operator slot of a ``conflict`` statement.
+A ``#`` at the start of a line or after whitespace begins a comment, also
+inside the sets of ``terminating``, with one exception: the operator slot
+of a ``conflict`` statement.  Nothing but the sets may follow
+``terminating`` when it does not read ``maximal`` or ``none``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .pes import Caps, EventStructure
 
 _TOKEN = re.compile(r"\S+")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.'-]*\Z")
+_PIECE = re.compile(r"[{},]|[^{},]+")
 _CONFLICT_OPS = ("#", "♯")
 
 
@@ -54,17 +57,18 @@ class PesDocument:
         )
 
 
-def _tokenize(line: str, lineno: int, conflict_aware: bool) -> list[tuple[str, int]]:
+def _tokenize(line: str) -> list[tuple[str, int]]:
     """Whitespace tokens with 1-based columns, truncated at a comment.
 
-    conflict_aware keeps a '#' in the operator slot (third token) of a
-    conflict statement from starting a comment."""
-    tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+    This is the one place that decides where a comment starts: at a token
+    that begins with '#', unless it is the '#' operator (third token) of a
+    conflict statement."""
     out: list[tuple[str, int]] = []
-    for i, (tok, col) in enumerate(tokens):
-        if tok.startswith("#") and not (conflict_aware and i == 2 and tok == "#"):
+    for m in _TOKEN.finditer(line):
+        tok = m.group()
+        if tok.startswith("#") and not (len(out) == 2 and tok == "#" and out[0][0] == "conflict"):
             break
-        out.append((tok, col))
+        out.append((tok, m.start() + 1))
     return out
 
 
@@ -74,62 +78,37 @@ def _ident(tok: str, col: int, lineno: int, what: str) -> str:
     return tok
 
 
-def _parse_terminating_sets(
-    rest: str, offset: int, lineno: int
-) -> tuple[tuple[str, ...], ...]:
-    """Parse '{ {a,b} {c} }' into a tuple of event-name tuples."""
+def _terminating_sets(body: list[tuple[str, int]], lineno: int) -> tuple[tuple[str, ...], ...]:
+    """Parse the tokens of '{ {a,b} {c} }', split at braces and commas,
+    into a tuple of event-name tuples."""
     groups: list[tuple[str, ...]] = []
-    pos = 0
-    depth = 0
     current: list[str] | None = None
-    word = ""
-    word_col = 0
-
-    def flush(col: int) -> None:
-        nonlocal word
-        if word:
-            if current is None:
-                raise ParseError(lineno, word_col, "event name outside a set")
-            current.append(_ident(word, word_col, lineno, "event name"))
-            word = ""
-
-    while pos < len(rest):
-        ch = rest[pos]
-        col = offset + pos + 1
-        if ch == "#" and (pos == 0 or rest[pos - 1].isspace()):
-            break
-        if ch == "{":
-            flush(col)
-            depth += 1
-            if depth == 1:
-                pass
-            elif depth == 2:
-                current = []
-            else:
-                raise ParseError(lineno, col, "sets nest at most one level")
-        elif ch == "}":
-            flush(col)
-            if depth == 2:
-                assert current is not None
-                groups.append(tuple(current))
-                current = None
-            elif depth != 1:
-                raise ParseError(lineno, col, "unbalanced '}'")
-            depth -= 1
-        elif ch == ",":
-            flush(col)
-            if current is None:
-                raise ParseError(lineno, col, "',' outside a set")
-        elif ch.isspace():
-            flush(col)
-        else:
-            if not word:
-                word_col = col
-            word += ch
-        pos += 1
-    flush(offset + pos + 1)
-    if depth != 0:
-        raise ParseError(lineno, offset + pos, "unbalanced '{'")
+    depth = 0
+    for tok, col in body:
+        for m in _PIECE.finditer(tok):
+            piece, at = m.group(), col + m.start()
+            if piece == "{":
+                depth += 1
+                if depth == 2:
+                    current = []
+                elif depth > 2:
+                    raise ParseError(lineno, at, "sets nest at most one level")
+            elif piece == "}":
+                if depth == 2:
+                    assert current is not None
+                    groups.append(tuple(current))
+                    current = None
+                elif depth != 1:
+                    raise ParseError(lineno, at, "unbalanced '}'")
+                depth -= 1
+            elif current is None:
+                what = "','" if piece == "," else "event name"
+                raise ParseError(lineno, at, f"{what} outside a set")
+            elif piece != ",":
+                current.append(_ident(piece, at, lineno, "event name"))
+    if depth:
+        tok, col = body[-1]
+        raise ParseError(lineno, col + len(tok) - 1, "unbalanced '{'")
     return tuple(groups)
 
 
@@ -147,22 +126,21 @@ def parse_document(text: str) -> PesDocument:
         return tok
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        head = _TOKEN.search(raw)
-        if head is None or head.group().startswith("#"):
+        tokens = _tokenize(raw)
+        if not tokens:
             continue
-        keyword = head.group()
-        tokens = _tokenize(raw, lineno, conflict_aware=keyword == "conflict")
+        keyword, at = tokens[0]
         if name is None and keyword != "pes":
-            raise ParseError(lineno, head.start() + 1, "expected 'pes <name>' first")
+            raise ParseError(lineno, at, "expected 'pes <name>' first")
         if keyword == "pes":
             if name is not None:
-                raise ParseError(lineno, head.start() + 1, "duplicate 'pes' statement")
+                raise ParseError(lineno, at, "duplicate 'pes' statement")
             if len(tokens) != 2:
-                raise ParseError(lineno, head.start() + 1, "expected 'pes <name>'")
+                raise ParseError(lineno, at, "expected 'pes <name>'")
             name = _ident(tokens[1][0], tokens[1][1], lineno, "structure name")
         elif keyword == "event":
             if len(tokens) != 4 or tokens[2][0] != ":":
-                raise ParseError(lineno, head.start() + 1, "expected 'event <id> : <label>'")
+                raise ParseError(lineno, at, "expected 'event <id> : <label>'")
             ev = _ident(tokens[1][0], tokens[1][1], lineno, "event name")
             lbl = _ident(tokens[3][0], tokens[3][1], lineno, "label")
             if ev in declared:
@@ -171,37 +149,35 @@ def parse_document(text: str) -> PesDocument:
             events.append((ev, lbl))
         elif keyword == "cause":
             if len(tokens) != 4 or tokens[2][0] != "<":
-                raise ParseError(lineno, head.start() + 1, "expected 'cause <id> < <id>'")
+                raise ParseError(lineno, at, "expected 'cause <id> < <id>'")
             a = need_declared(tokens[1][0], tokens[1][1], lineno)
             b = need_declared(tokens[3][0], tokens[3][1], lineno)
             causes.append((a, b))
         elif keyword == "conflict":
             if len(tokens) != 4 or tokens[2][0] not in _CONFLICT_OPS:
-                raise ParseError(lineno, head.start() + 1, "expected 'conflict <id> # <id>'")
+                raise ParseError(lineno, at, "expected 'conflict <id> # <id>'")
             a = need_declared(tokens[1][0], tokens[1][1], lineno)
             b = need_declared(tokens[3][0], tokens[3][1], lineno)
             conflicts.append((a, b))
         elif keyword == "terminating":
             if termination is not None:
-                raise ParseError(lineno, head.start() + 1, "duplicate 'terminating' statement")
-            if len(tokens) >= 2 and tokens[1][0] in ("maximal", "none") and len(tokens) == 2:
-                termination = tokens[1][0]
+                raise ParseError(lineno, at, "duplicate 'terminating' statement")
+            body = tokens[1:]
+            if len(body) == 1 and body[0][0] in ("maximal", "none"):
+                termination = body[0][0]
+            elif not body or not body[0][0].startswith("{"):
+                raise ParseError(
+                    lineno, at, "expected 'terminating maximal|none|{ {...} ... }'"
+                )
             else:
-                brace = raw.find("{", head.end())
-                if brace < 0:
-                    raise ParseError(
-                        lineno,
-                        head.start() + 1,
-                        "expected 'terminating maximal|none|{ {...} ... }'",
-                    )
-                groups = _parse_terminating_sets(raw[brace:], brace, lineno)
+                groups = _terminating_sets(body, lineno)
                 for group in groups:
                     for ev in group:
                         if ev not in declared:
-                            raise ParseError(lineno, brace + 1, f"undeclared event {ev!r}")
+                            raise ParseError(lineno, body[0][1], f"undeclared event {ev!r}")
                 termination = groups
         else:
-            raise ParseError(lineno, head.start() + 1, f"unknown statement {keyword!r}")
+            raise ParseError(lineno, at, f"unknown statement {keyword!r}")
     if name is None:
         raise ParseError(1, 1, "empty document: expected 'pes <name>'")
     return PesDocument(

@@ -128,6 +128,10 @@ def test_terminating_forms():
         ("pes X\nterminating { { {x} } }\n", 2, 17, "sets nest at most one level"),
         ("pes X\nevent a : a\nterminating { a }\n", 3, 15, "event name outside a set"),
         ("pes X\nevent a : a\nterminating { {a}\n", 3, 17, "unbalanced '{'"),
+        # a brace in a comment, and a keyword before the sets, are no sets
+        ("pes X\nevent a : a\nterminating # { {a} }\n", 3, 1, "expected 'terminating"),
+        ("pes X\nevent a : a\nterminating maximal { {a} }\n", 3, 1, "expected 'terminating"),
+        ("pes X\nterminating none { }\n", 2, 1, "expected 'terminating maximal|none|"),
     ],
 )
 def test_parse_error_positions(text, line, column, fragment):
