@@ -24,7 +24,8 @@ every matching, so their arenas seed a position per valid matching; the
 solver then demotes Duplicator-won positions whose matching has a
 synchronized shrinking with no Duplicator-won counterpart to
 Spoiler-won sinks, and propagates only the Duplicator-to-Spoiler flips
-each demotion causes, with the same counters, until no demotion fires.
+each demotion causes, with the same counters and the same attractor
+step, until no demotion fires.
 Wins only ever move from Duplicator to Spoiler, so this gives what
 solving again from scratch would.  A play reaching a demoted position
 ends there; ``play_turn`` decides, for ``replay`` and the interactive
@@ -186,10 +187,9 @@ class Arena:
 class Solution:
     """Solved arena: win[i] is the winner of position i, and demoted_ids
     the positions demoted by hereditary pruning.  The object views,
-    winner (the winner per position), strategy (the canonical move,
-    lowest-index winning move, of each position won by its owner and not
-    demoted) and demoted, are built on first access; both dicts list
-    positions in arena order."""
+    strategy (the canonical move, lowest-index winning move, of each
+    position won by its owner and not demoted, in arena order) and
+    demoted, are built on first access."""
 
     def __init__(self, arena: Arena, win: Sequence[Role], demoted_ids: Sequence[int] = ()):
         self.arena = arena
@@ -206,10 +206,6 @@ class Solution:
             for i, (key, w) in enumerate(zip(self.arena.keys, self.win))
             if (key[4] is None) == (w is spoiler) and i not in skip
         ]
-
-    @cached_property
-    def winner(self) -> dict[GamePosition, Role]:
-        return dict(zip(self.arena.positions, self.win))
 
     @cached_property
     def strategy(self) -> dict[GamePosition, Move]:
@@ -319,15 +315,19 @@ def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
     return moves
 
 
-def _retrograde(arena: Arena) -> tuple[list[Role], list[Role], list[int], list[list[int]]]:
+def _retrograde(arena: Arena) -> tuple[list[Role], Callable[[list[int], Role | None], None]]:
     """Retrograde counting over the acyclic arena, by position id.
 
-    Returns the owner and the winner of each position, the predecessor
-    ids of each, and for each the number of its successors not won
-    against its owner.  That count is what the owner still has to play
-    for: while it stays above 0 an undecided position may yet be won by
-    its owner, and once everything is decided it is, for a Duplicator
-    position, the number of its Duplicator-won successors."""
+    Returns the winner of each position and the attractor step that
+    decided them, attract(queue, still_open).  It propagates the winners
+    of the positions in queue to their predecessors, and on from there: a
+    predecessor whose winner is still_open (None while solving, Duplicator
+    while demoting) goes to its owner on a successor its owner won, and to
+    the other player once none of its successors is left that is not won
+    against its owner.  That count of successors, kept per position, is
+    what the owner still has to play for; once everything is decided it
+    is, for a Duplicator position, the number of its Duplicator-won
+    successors."""
     succ = arena.succ
     spoiler, duplicator = Role.SPOILER, Role.DUPLICATOR
     owner = [spoiler if key[4] is None else duplicator for key in arena.keys]
@@ -337,29 +337,33 @@ def _retrograde(arena: Arena) -> tuple[list[Role], list[Role], list[int], list[l
             pred[j].append(i)
     count = [len(out) for out in succ]
     win: list[Role | None] = [None] * len(succ)
+
+    def attract(queue: list[int], still_open: Role | None) -> None:
+        while queue:
+            j = queue.pop()
+            w = win[j]
+            for i in pred[j]:
+                if owner[i] is not w:
+                    count[i] -= 1
+                    if count[i]:
+                        continue
+                if win[i] is still_open:
+                    win[i] = w
+                    queue.append(i)
+
     # a stuck player loses
-    queue = [i for i, c in enumerate(count) if not c]
-    for i in queue:
+    stuck = [i for i, c in enumerate(count) if not c]
+    for i in stuck:
         win[i] = spoiler if owner[i] is duplicator else duplicator
-    while queue:
-        j = queue.pop()
-        w = win[j]
-        for i in pred[j]:
-            if owner[i] is not w:
-                count[i] -= 1
-                if count[i]:
-                    continue
-            if win[i] is None:
-                win[i] = w
-                queue.append(i)
+    attract(stuck, None)
     if None in win:
         raise ArenaCycleError("cycle detected in game arena")
-    return owner, win, count, pred
+    return win, attract
 
 
 def solve(arena: Arena) -> Solution:
     """Retrograde counting over the acyclic arena: a stuck player loses."""
-    _, win, _, _ = _retrograde(arena)
+    win, _ = _retrograde(arena)
     return Solution(arena, win)
 
 
@@ -372,8 +376,8 @@ def solve_hereditary(arena: Arena) -> Solution:
     if not arena.kind.posetal:
         raise ValidationError("hereditary solving needs matching-carrying positions")
     eng = arena.engine
-    owner, win, count, pred = _retrograde(arena)
-    spoiler, duplicator = Role.SPOILER, Role.DUPLICATOR
+    win, attract = _retrograde(arena)
+    duplicator = Role.DUPLICATOR
     triples = {
         i: (right, pairs, left) if sw else (left, pairs, right)
         for i, (sw, left, right, pairs, ch) in enumerate(arena.keys)
@@ -389,23 +393,11 @@ def solve_hereditary(arena: Arena) -> Solution:
             return Solution(arena, win, demoted)
         newly = [i for i in won if triples[i] in broken]
         demoted += newly
-        # Only Duplicator wins can flip, each once: a Spoiler position on
-        # its first Spoiler-won successor, a Duplicator position when its
-        # count of Duplicator-won successors reaches 0.
-        queue = list(newly)
+        # Only Duplicator wins can flip, each once, so a Duplicator
+        # position's count stays its number of Duplicator-won successors.
         for i in newly:
-            win[i] = spoiler
-        while queue:
-            j = queue.pop()
-            for i in pred[j]:
-                if win[i] is not duplicator:
-                    continue
-                if owner[i] is duplicator:
-                    count[i] -= 1
-                    if count[i]:
-                        continue
-                win[i] = spoiler
-                queue.append(i)
+            win[i] = Role.SPOILER
+        attract(newly, duplicator)
         won = [i for i in won if win[i] is duplicator]
 
 

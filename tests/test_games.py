@@ -62,7 +62,7 @@ def test_empty_structures_give_trivial_arena():
     assert len(a.positions) == 1
     assert a.moves[a.initial] == ()
     sol = solve(a)
-    assert sol.winner[a.initial] is Role.DUPLICATOR
+    assert sol.win[0] is Role.DUPLICATOR
 
 
 def test_initial_challenges_cover_both_sides():
@@ -85,7 +85,7 @@ def test_unanswerable_challenge_has_no_moves():
     assert stuck in a.moves
     assert a.moves[stuck] == ()
     sol = solve(a)
-    assert sol.winner[a.initial] is Role.SPOILER
+    assert sol.win[0] is Role.SPOILER
     assert sol.strategy[a.initial].target == stuck
 
 
@@ -142,11 +142,12 @@ def test_game_agrees_with_fixpoint_on_random_pairs():
 def test_solve_assigns_every_position():
     a = build_arena(seq(), seq(), POMSET_STRONG)
     sol = solve(a)
-    assert set(sol.winner) == set(a.positions)
+    assert len(sol.win) == len(a.positions) and None not in sol.win
+    winner = dict(zip(a.positions, sol.win))
     for pos, mv in sol.strategy.items():
-        assert sol.winner[pos] is pos.owner
+        assert winner[pos] is pos.owner
         assert mv in a.moves[pos]
-        assert sol.winner[mv.target] is pos.owner
+        assert winner[mv.target] is pos.owner
 
 
 def test_strategy_moves_belong_to_the_winner():
@@ -218,13 +219,13 @@ def test_hereditary_demotion_flips_the_winner():
     a = build_arena(choice3(), chain(), HHP_STRONG)
     plain = solve(a)
     sol = solve_hereditary(a)
-    assert plain.winner[a.initial] is Role.DUPLICATOR
-    assert sol.winner[a.initial] is Role.SPOILER
+    assert plain.win[0] is Role.DUPLICATOR
+    assert sol.win[0] is Role.SPOILER
     assert sol.demoted
-    for pos in sol.demoted:
-        assert pos.challenge is None
-        assert plain.winner[pos] is Role.DUPLICATOR
-        assert sol.winner[pos] is Role.SPOILER
+    for i in sol.demoted_ids:
+        assert a.positions[i].challenge is None
+        assert plain.win[i] is Role.DUPLICATOR
+        assert sol.win[i] is Role.SPOILER
 
 
 def _concurrent_a(name, n, conflicts):
@@ -354,6 +355,6 @@ def test_solver_matches_reference(pairs):
             verdict = game_check(es1, es2, kind)
             sol = verdict.solution
             winner, strategy, demoted = _reference_solve(verdict.arena)
-            assert sol.winner == winner
+            assert list(sol.win) == [winner[pos] for pos in verdict.arena.positions]
             assert sol.strategy == strategy
             assert sol.demoted == demoted
