@@ -224,6 +224,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.what == "configs":
         if len(args.files) != 1:
             raise ValidationError("export --what configs takes exactly one file")
+        if args.rel or args.mode or args.strong_tau_erasure:
+            raise ValidationError(
+                "export --what configs takes no --rel, --mode or --strong-tau-erasure"
+            )
         es = _load(args.files[0], caps)
         sys.stdout.write(configuration_graph_dot(es))
         return 0

@@ -242,6 +242,10 @@ def test_dot_exports_match_goldens(golden, argv, capsys):
 def test_export_argument_errors(capsys):
     cases = [
         ["export", "--what", "configs", fx("pa.pes"), fx("pa.pes")],
+        # the game options mean nothing for a configuration graph
+        ["export", "--what", "configs", "--rel", "hp", fx("seq.pes")],
+        ["export", "--what", "configs", "--mode", "strong", fx("seq.pes")],
+        ["export", "--what", "configs", "--strong-tau-erasure", fx("seq.pes")],
         ["export", "--what", "arena", fx("pa.pes")],
         ["export", "--what", "arena", fx("pa.pes"), fx("pa.pes")],
     ]
