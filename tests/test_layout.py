@@ -64,3 +64,27 @@ def test_no_unused_imports(path):
         name for name in imported - used if (path.name, name) not in UNUSED_IMPORTS_ALLOWED
     }
     assert unused == set(), f"{path.name} imports {sorted(unused)} without using them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_definitions(path):
+    """A private function or class is read in its own module, outside its
+    own body; one that nothing calls is a merged-away helper left behind."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and _private(node.name)
+    ]
+    unused = []
+    for node in defs:
+        inside = {id(n) for n in ast.walk(node)}
+        used = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in inside
+        }
+        if node.name not in used:
+            unused.append(node.name)
+    assert unused == [], f"{path.name} defines {unused} without using them"
