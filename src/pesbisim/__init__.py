@@ -21,7 +21,6 @@ from .games import (
     GameVerdict,
     Move,
     Role,
-    Solution,
     Transcript,
     build_arena,
     game_check,
@@ -67,7 +66,6 @@ __all__ = [
     "Relation",
     "Role",
     "SILENT_LABEL",
-    "Solution",
     "TerminationPolicy",
     "Transcript",
     "ValidationError",

@@ -60,7 +60,7 @@ def _load(path: str, caps: Caps) -> EventStructure:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_pes(text, caps)
@@ -182,13 +182,13 @@ def cmd_play(args: argparse.Namespace) -> int:
     es1 = _load(args.files[0], caps)
     es2 = _load(args.files[1], caps)
     gv = games.game_check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
-    arena, solution = gv.arena, gv.solution
+    arena = gv.arena
     human = Role(args.human_role)
     machine = human.other()
     print(f"{kind} game on {es1.name} vs {es2.name}; you play {human.value}")
     pos = arena.initial
     machine_rules: list[str] = []
-    while (turn := games.play_turn(arena, solution, pos, human)).ending is None:
+    while (turn := games.play_turn(gv, pos, human)).ending is None:
         print(f"position {arena.describe(pos)}")
         legal = turn.legal
         mv = turn.machine_move
@@ -239,7 +239,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     es1 = _load(args.files[0], caps)
     es2 = _load(args.files[1], caps)
     gv = games.game_check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
-    sys.stdout.write(arena_dot(gv.arena, gv.solution))
+    sys.stdout.write(arena_dot(gv))
     return 0
 
 

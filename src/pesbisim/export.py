@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .games import Arena, Role, Solution
+from .games import GameVerdict, Role
 from .pes import EventStructure
 
 
@@ -30,12 +30,13 @@ def configuration_graph_dot(es: EventStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
-def arena_dot(arena: Arena, solution: Solution) -> str:
+def arena_dot(verdict: GameVerdict) -> str:
     """Positions as nodes (Spoiler-owned boxes, Duplicator-owned
     diamonds) coloured by winner, moves as rule-labelled edges."""
+    arena = verdict.arena
     lines = [f"digraph {_quote(arena.es1.name + '_vs_' + arena.es2.name)} {{"]
-    demoted = set(solution.demoted_ids)
-    for i, (pos, w) in enumerate(zip(arena.positions, solution.win)):
+    demoted = set(verdict.demoted_ids)
+    for i, (pos, w) in enumerate(zip(arena.positions, verdict.win)):
         shape = "box" if pos.owner is Role.SPOILER else "diamond"
         color = "palegreen" if w is Role.DUPLICATOR else "lightcoral"
         extra = " peripheries=2" if i in demoted else ""

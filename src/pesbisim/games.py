@@ -184,17 +184,27 @@ class Arena:
         return f"answer with Y={es_r.format_mask(added)}"
 
 
-class Solution:
-    """Solved arena: win[i] is the winner of position i, and demoted_ids
-    the positions demoted by hereditary pruning.  The object views,
-    strategy (the canonical move, lowest-index winning move, of each
-    position won by its owner and not demoted, in arena order) and
-    demoted, are built on first access."""
+@dataclass
+class GameVerdict:
+    """The solved game: win[i] is the winner of position i of the arena,
+    and demoted_ids the positions demoted by hereditary pruning.  The
+    winner of the initial position decides, and the winner's canonical
+    strategy serves as the checkable evidence.  The object views, strategy
+    (the canonical move, lowest-index winning move, of each position won
+    by its owner and not demoted, in arena order) and demoted, are built
+    on first access."""
 
-    def __init__(self, arena: Arena, win: Sequence[Role], demoted_ids: Sequence[int] = ()):
-        self.arena = arena
-        self.win = win
-        self.demoted_ids = demoted_ids
+    arena: Arena
+    win: Sequence[Role]
+    demoted_ids: Sequence[int] = ()
+
+    @property
+    def winner(self) -> Role:
+        return self.win[0]
+
+    @property
+    def equivalent(self) -> bool:
+        return self.winner is Role.DUPLICATOR
 
     def strategy_ids(self) -> list[int]:
         """Ids of the positions where the strategy picks a move, in arena
@@ -220,6 +230,17 @@ class Solution:
     @cached_property
     def demoted(self) -> frozenset[GamePosition]:
         return frozenset(self.arena.positions[i] for i in self.demoted_ids)
+
+    def strategy_size(self) -> int:
+        """The number of the winner's chosen moves, len(strategy_moves()),
+        counted without building position objects."""
+        win = self.win
+        return sum(1 for i in self.strategy_ids() if win[i] is win[0])
+
+    def strategy_moves(self) -> list[tuple[GamePosition, Move]]:
+        """The winner's chosen moves, in arena position order."""
+        win = self.winner
+        return [(pos, mv) for pos, mv in self.strategy.items() if pos.owner is win]
 
 
 _TERMINATION = ("termination", 0, 0)
@@ -361,13 +382,13 @@ def _retrograde(arena: Arena) -> tuple[list[Role], Callable[[list[int], Role | N
     return win, attract
 
 
-def solve(arena: Arena) -> Solution:
+def solve(arena: Arena) -> GameVerdict:
     """Retrograde counting over the acyclic arena: a stuck player loses."""
     win, _ = _retrograde(arena)
-    return Solution(arena, win)
+    return GameVerdict(arena, win)
 
 
-def solve_hereditary(arena: Arena) -> Solution:
+def solve_hereditary(arena: Arena) -> GameVerdict:
     """Retrograde counting refined by hereditary closure: a
     Duplicator-won triple position whose matching has a synchronized
     shrinking with no Duplicator-won counterpart is demoted to a
@@ -390,7 +411,7 @@ def solve_hereditary(arena: Arena) -> Solution:
         # both orientations of a matching share its triple: check it once
         broken = {t for t in alive if not hereditary_ok(eng, t, alive)}
         if not broken:
-            return Solution(arena, win, demoted)
+            return GameVerdict(arena, win, demoted)
         newly = [i for i in won if triples[i] in broken]
         demoted += newly
         # Only Duplicator wins can flip, each once, so a Duplicator
@@ -399,35 +420,6 @@ def solve_hereditary(arena: Arena) -> Solution:
             win[i] = Role.SPOILER
         attract(newly, duplicator)
         won = [i for i in won if win[i] is duplicator]
-
-
-@dataclass
-class GameVerdict:
-    """Game answer with the solved arena attached; the winner's canonical
-    strategy serves as the checkable evidence."""
-
-    kind: BisimulationKind
-    arena: Arena
-    solution: Solution
-
-    @property
-    def winner(self) -> Role:
-        return self.solution.win[0]
-
-    @property
-    def equivalent(self) -> bool:
-        return self.winner is Role.DUPLICATOR
-
-    def strategy_size(self) -> int:
-        """The number of the winner's chosen moves, len(strategy_moves()),
-        counted without building position objects."""
-        win = self.solution.win
-        return sum(1 for i in self.solution.strategy_ids() if win[i] is win[0])
-
-    def strategy_moves(self) -> list[tuple[GamePosition, Move]]:
-        """The winner's chosen moves, in arena position order."""
-        win = self.winner
-        return [(pos, mv) for pos, mv in self.solution.strategy.items() if pos.owner is win]
 
 
 def game_check(
@@ -439,8 +431,7 @@ def game_check(
 ) -> GameVerdict:
     """Decide equivalence by building and solving the game arena."""
     arena = build_arena(es1, es2, kind, strong_tau_erasure=strong_tau_erasure)
-    solution = solve_hereditary(arena) if kind.flavor is Flavor.HHP else solve(arena)
-    return GameVerdict(kind, arena, solution)
+    return solve_hereditary(arena) if kind.flavor is Flavor.HHP else solve(arena)
 
 
 ENDINGS = {
@@ -464,20 +455,20 @@ class Turn:
     winner: Role | None = None
 
 
-def play_turn(arena: Arena, solution: Solution, pos: GamePosition, as_role: Role) -> Turn:
+def play_turn(verdict: GameVerdict, pos: GamePosition, as_role: Role) -> Turn:
     """The turn at pos in a play where the external player takes as_role
     and the machine answers with its canonical strategy move where it wins
     and its lowest-index move otherwise."""
-    if pos.challenge is None and pos in solution.demoted:
+    if pos.challenge is None and pos in verdict.demoted:
         return Turn(ending="hereditary-closure-violation", winner=Role.SPOILER)
-    legal = arena.moves[pos]
+    legal = verdict.arena.moves[pos]
     owner = pos.owner
     if not legal:
         ending = "spoiler-stuck" if owner is Role.SPOILER else "duplicator-stuck"
         return Turn(ending=ending, winner=owner.other())
     if owner is as_role:
         return Turn(legal)
-    return Turn(legal, solution.strategy.get(pos, legal[0]))
+    return Turn(legal, verdict.strategy.get(pos, legal[0]))
 
 
 @dataclass(frozen=True)
@@ -507,19 +498,15 @@ class Transcript:
         return "\n".join(lines)
 
 
-def replay(
-    arena: Arena,
-    solution: Solution,
-    as_role: Role,
-    moves: Sequence[int],
-) -> Transcript:
+def replay(verdict: GameVerdict, as_role: Role, moves: Sequence[int]) -> Transcript:
     """Play the external player's numbered moves for one role against the
     machine (see play_turn).  Raises IllegalMoveError on an out-of-range
     index or when the move list runs out mid-play."""
+    arena = verdict.arena
     pos = arena.initial
     steps: list[TranscriptStep] = []
     supplied = iter(moves)
-    while (turn := play_turn(arena, solution, pos, as_role)).ending is None:
+    while (turn := play_turn(verdict, pos, as_role)).ending is None:
         mv = turn.machine_move
         if mv is None:
             k = next(supplied, None)

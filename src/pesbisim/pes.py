@@ -175,9 +175,6 @@ class EventStructure:
         self._below = tuple(below)
         self._above = tuple(above)
         self._conflict = tuple(conflict)
-        self._concurrent = tuple(
-            self.full_mask & ~(below[i] | above[i] | conflict[i]) for i in range(n)
-        )
 
         if termination == "maximal":
             self._termination = TerminationPolicy("maximal")
@@ -245,9 +242,6 @@ class EventStructure:
     def leq(self, e1: str, e2: str) -> bool:
         return bool(self._below[self._resolve(e2)] >> self._resolve(e1) & 1)
 
-    def leq_idx(self, i: int, j: int) -> bool:
-        return bool(self._below[j] >> i & 1)
-
     @property
     def past_masks(self) -> tuple[int, ...]:
         """Per event index, the mask of its causal past, itself included."""
@@ -280,7 +274,8 @@ class EventStructure:
         return bool(self._conflict[self._resolve(e1)] >> self._resolve(e2) & 1)
 
     def concurrent(self, e1: str, e2: str) -> bool:
-        return bool(self._concurrent[self._resolve(e1)] >> self._resolve(e2) & 1)
+        i, j = self._resolve(e1), self._resolve(e2)
+        return not (self._below[i] >> j | self._below[j] >> i | self._conflict[i] >> j) & 1
 
     # ------------------------------------------------------------------
     # configurations
@@ -358,21 +353,17 @@ class EventStructure:
         if cached is None:
             self.configurations()
             out = []
+            past = self._below
             for target in self._sorted_masks:
                 if target != mask and target & mask == mask:
                     x = target & ~mask
-                    if step and not self.pairwise_concurrent(x):
+                    # x is conflict-free, so a step needs no causality within it
+                    if step and any(past[i] & x != 1 << i for i in bits(x)):
                         continue
                     out.append((x, target))
             cached = tuple(out)
             self._trans_cache[key] = cached
         return cached
-
-    def pairwise_concurrent(self, mask: int) -> bool:
-        for i in bits(mask):
-            if mask & ~(self._concurrent[i] | 1 << i):
-                return False
-        return True
 
     def tau_reachable_masks(self, mask: int) -> tuple[int, ...]:
         """Configurations reachable by adding silent events only, the

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParseError
 from .pes import Caps, EventStructure
@@ -78,9 +79,11 @@ def _ident(tok: str, col: int, lineno: int, what: str) -> str:
     return tok
 
 
-def _terminating_sets(body: list[tuple[str, int]], lineno: int) -> tuple[tuple[str, ...], ...]:
+def _terminating_sets(
+    body: list[tuple[str, int]], lineno: int, need_declared: Callable[[str, int, int], str]
+) -> tuple[tuple[str, ...], ...]:
     """Parse the tokens of '{ {a,b} {c} }', split at braces and commas,
-    into a tuple of event-name tuples."""
+    into a tuple of declared event-name tuples."""
     groups: list[tuple[str, ...]] = []
     current: list[str] | None = None
     depth = 0
@@ -88,6 +91,8 @@ def _terminating_sets(body: list[tuple[str, int]], lineno: int) -> tuple[tuple[s
         for m in _PIECE.finditer(tok):
             piece, at = m.group(), col + m.start()
             if piece == "{":
+                if not depth and at > body[0][1]:
+                    raise ParseError(lineno, at, "only one outer '{ }' pair allowed")
                 depth += 1
                 if depth == 2:
                     current = []
@@ -105,7 +110,7 @@ def _terminating_sets(body: list[tuple[str, int]], lineno: int) -> tuple[tuple[s
                 what = "','" if piece == "," else "event name"
                 raise ParseError(lineno, at, f"{what} outside a set")
             elif piece != ",":
-                current.append(_ident(piece, at, lineno, "event name"))
+                current.append(need_declared(_ident(piece, at, lineno, "event name"), at, lineno))
     if depth:
         tok, col = body[-1]
         raise ParseError(lineno, col + len(tok) - 1, "unbalanced '{'")
@@ -170,12 +175,7 @@ def parse_document(text: str) -> PesDocument:
                     lineno, at, "expected 'terminating maximal|none|{ {...} ... }'"
                 )
             else:
-                groups = _terminating_sets(body, lineno)
-                for group in groups:
-                    for ev in group:
-                        if ev not in declared:
-                            raise ParseError(lineno, body[0][1], f"undeclared event {ev!r}")
-                termination = groups
+                termination = _terminating_sets(body, lineno, need_declared)
         else:
             raise ParseError(lineno, at, f"unknown statement {keyword!r}")
     if name is None:

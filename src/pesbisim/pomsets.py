@@ -28,8 +28,9 @@ def extends(
     agree and i, j order the same way against every existing pair."""
     if es1.labels[i] != es2.labels[j]:
         return False
+    past1, past2 = es1.past_masks, es2.past_masks
     for a, b in pairs:
-        if es1.leq_idx(a, i) != es2.leq_idx(b, j) or es1.leq_idx(i, a) != es2.leq_idx(j, b):
+        if (past1[i] >> a ^ past2[j] >> b | past1[a] >> i ^ past2[b] >> j) & 1:
             return False
     return True
 
@@ -59,11 +60,11 @@ def _bijections(
 def signature(es: EventStructure, idx: list[int]) -> tuple[tuple[str, int, int], ...]:
     """An isomorphism invariant of the pomset on the events idx: the
     sorted (label, events below, events above) of each event."""
+    past, mask = es.past_masks, sum(1 << i for i in idx)
     sig = []
     for i in idx:
-        below = sum(1 for j in idx if j != i and es.leq_idx(j, i))
-        above = sum(1 for j in idx if j != i and es.leq_idx(i, j))
-        sig.append((es.labels[i], below, above))
+        above = sum(past[j] >> i & 1 for j in idx) - 1
+        sig.append((es.labels[i], (past[i] & mask).bit_count() - 1, above))
     return tuple(sorted(sig))
 
 
@@ -121,9 +122,10 @@ class Matching:
                 )
         if seen1 != dom or seen2 != cod:
             return "matching is not a bijection over the matched events"
+        past1, past2 = es1.past_masks, es2.past_masks
         for a, b in self.pairs:
             for c, d in self.pairs:
-                if es1.leq_idx(a, c) != es2.leq_idx(b, d):
+                if (past1[c] >> a ^ past2[d] >> b) & 1:
                     return (
                         f"order violation: {es1.events[a]} before {es1.events[c]} "
                         f"disagrees with {es2.events[b]} before {es2.events[d]}"

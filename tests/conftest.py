@@ -4,6 +4,9 @@ The small named structures double as documentation: P0 is empty, PA a
 single visible event, PAR two concurrent events, SEQ a chain, CH the
 interleaving choice, TAU a silent step before a visible one.  CHOICE3
 and CHAIN are history-preserving bisimilar but not hereditarily so.
+PAR_OR_SEQ is step but not pomset bisimilar to PAR.  ABSORB3 and
+ABSORB2, the two sides of the absorption law, are history-preserving
+bisimilar but not hereditarily so.
 """
 
 from __future__ import annotations
@@ -77,6 +80,41 @@ def chain() -> EventStructure:
 
 def tau_par() -> EventStructure:
     return EventStructure("TAU_PAR", [("t", "tau"), ("a", "a")])
+
+
+def _sum(name, summands, causes=(), conflicts=()) -> EventStructure:
+    """The choice between summands, each a list of (event, label): every
+    event conflicts with the events of the other summands."""
+    events = [e for summand in summands for e in summand]
+    apart = [
+        (e, f)
+        for k, summand in enumerate(summands)
+        for other in summands[k + 1 :]
+        for e, _ in summand
+        for f, _ in other
+    ]
+    return EventStructure(name, events, causes, [*conflicts, *apart])
+
+
+def par_or_seq() -> EventStructure:
+    """a‖b + a;b"""
+    summands = [[("a1", "a"), ("b1", "b")], [("a2", "a"), ("b2", "b")]]
+    return _sum("PAR_OR_SEQ", summands, causes=[("a2", "b2")])
+
+
+_A_BC = [("a1", "a"), ("b1", "b"), ("c1", "c")]  # a‖(b+c)
+_AC_B = [("a3", "a"), ("c3", "c"), ("b3", "b")]  # (a+c)‖b
+_CHOICES = [("b1", "c1"), ("a3", "c3")]
+
+
+def absorb3() -> EventStructure:
+    """(a‖(b+c)) + (a‖b) + ((a+c)‖b)"""
+    return _sum("ABSORB3", [_A_BC, [("a2", "a"), ("b2", "b")], _AC_B], conflicts=_CHOICES)
+
+
+def absorb2() -> EventStructure:
+    """(a‖(b+c)) + ((a+c)‖b)"""
+    return _sum("ABSORB2", [_A_BC, _AC_B], conflicts=_CHOICES)
 
 
 STANDARD = (p0, pa, par, seq, ch, tau, pa_noterm, halt_early, choice3, chain, tau_par)

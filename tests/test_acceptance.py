@@ -227,14 +227,14 @@ def test_criterion_6_strategy_soundness():
         a, b = all_pairs()[idx]
         verdict = game_check(a, b, kind)
         if verdict.equivalent or not _spoiler_strategy_always_wins(
-            verdict.arena, verdict.solution
+            verdict.arena, verdict
         ):
             failures.append(("spoiler", a.name, b.name, str(kind)))
     for idx, kind in rng.sample(equivalent, 50):
         a, b = all_pairs()[idx]
         verdict = game_check(a, b, kind)
         if not verdict.equivalent or not _duplicator_strategy_always_wins(
-            verdict.arena, verdict.solution
+            verdict.arena, verdict
         ):
             failures.append(("duplicator", a.name, b.name, str(kind)))
     conclude(6, "extracted strategies win every counterplay", failures)

@@ -67,6 +67,16 @@ def test_missing_file_exits_two(capsys):
     assert "cannot read no-such.pes" in err
 
 
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "latin.pes"
+    bad.write_bytes(b"pes X\nevent a : a\xff\n")
+    code, _, err = run_main(
+        capsys, ["check", "--rel", "pomset", "--mode", "strong", str(bad), fx("pa.pes")]
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot read {bad}") and "Traceback" not in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--rel", "nonsense", "--mode", "strong", fx("pa.pes"), fx("pa.pes")])

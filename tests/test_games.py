@@ -160,13 +160,13 @@ def test_strategy_moves_belong_to_the_winner():
 
 def test_replay_spoiler_stuck():
     a = build_arena(p0(), p0(), POMSET_STRONG)
-    t = replay(a, solve(a), Role.SPOILER, [])
+    t = replay(solve(a), Role.SPOILER, [])
     assert t.ending == "spoiler-stuck" and t.winner is Role.DUPLICATOR and t.steps == ()
 
 
 def test_replay_full_round_trip():
     a = build_arena(seq(), seq(), POMSET_STRONG)
-    t = replay(a, solve(a), Role.SPOILER, [0, 0])
+    t = replay(solve(a), Role.SPOILER, [0, 0])
     assert t.ending == "spoiler-stuck" and t.winner is Role.DUPLICATOR
     assert len(t.steps) == 4
     text = t.render(a)
@@ -176,7 +176,7 @@ def test_replay_full_round_trip():
 
 def test_replay_duplicator_stuck():
     a = build_arena(par(), ch(), POMSET_STRONG)
-    t = replay(a, solve(a), Role.DUPLICATOR, [])
+    t = replay(solve(a), Role.DUPLICATOR, [])
     assert t.ending == "duplicator-stuck" and t.winner is Role.SPOILER
     assert len(t.steps) == 1
     assert "Duplicator stuck; Spoiler wins" in t.render(a)
@@ -186,9 +186,9 @@ def test_replay_rejects_bad_moves():
     a = build_arena(seq(), seq(), POMSET_STRONG)
     sol = solve(a)
     with pytest.raises(IllegalMoveError):
-        replay(a, sol, Role.SPOILER, [])
+        replay(sol, Role.SPOILER, [])
     with pytest.raises(IllegalMoveError):
-        replay(a, sol, Role.SPOILER, [99])
+        replay(sol, Role.SPOILER, [99])
 
 
 def test_solve_rejects_cyclic_arena():
@@ -249,11 +249,11 @@ def test_hhp_demotion_characterization(mode):
     right = _concurrent_a("R", 4, [(0, 2), (0, 3)])
     verdict = game_check(left, right, BisimulationKind(Flavor.HHP, mode))
     assert not verdict.equivalent
-    assert len(verdict.solution.demoted_ids) == 52
+    assert len(verdict.demoted_ids) == 52
     assert verdict.strategy_size() == 97
 
 
-def _duplicator_picks_to_demoted(arena, solution):
+def _duplicator_picks_to_demoted(arena, verdict):
     """Duplicator move indices that walk the machine's Spoiler strategy
     into a demoted position, if any play does."""
     seen = set()
@@ -263,13 +263,13 @@ def _duplicator_picks_to_demoted(arena, solution):
         if pos in seen:
             continue
         seen.add(pos)
-        if pos.challenge is None and pos in solution.demoted:
+        if pos.challenge is None and pos in verdict.demoted:
             return picks
         legal = arena.moves[pos]
         if not legal:
             continue
         if pos.owner is Role.SPOILER:
-            queue.append((solution.strategy.get(pos, legal[0]).target, picks))
+            queue.append((verdict.strategy.get(pos, legal[0]).target, picks))
         else:
             for k, mv in enumerate(legal):
                 queue.append((mv.target, picks + (k,)))
@@ -281,7 +281,7 @@ def test_replay_stops_at_demoted_positions():
     sol = solve_hereditary(a)
     picks = _duplicator_picks_to_demoted(a, sol)
     assert picks is not None
-    t = replay(a, sol, Role.DUPLICATOR, list(picks))
+    t = replay(sol, Role.DUPLICATOR, list(picks))
     assert t.ending == "hereditary-closure-violation" and t.winner is Role.SPOILER
     assert "hereditary closure violated" in t.render(a)
 
@@ -353,8 +353,7 @@ def test_solver_matches_reference(pairs):
     for es1, es2 in pairs:
         for kind in ALL_KINDS:
             verdict = game_check(es1, es2, kind)
-            sol = verdict.solution
             winner, strategy, demoted = _reference_solve(verdict.arena)
-            assert list(sol.win) == [winner[pos] for pos in verdict.arena.positions]
-            assert sol.strategy == strategy
-            assert sol.demoted == demoted
+            assert list(verdict.win) == [winner[pos] for pos in verdict.arena.positions]
+            assert verdict.strategy == strategy
+            assert verdict.demoted == demoted

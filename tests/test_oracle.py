@@ -26,6 +26,8 @@ from pesbisim.oracle import Engine, hereditary_ok, triple_universe
 from pesbisim.pes import Configuration, EventStructure, bits
 
 from conftest import (
+    absorb2,
+    absorb3,
     antichain,
     apart_by_termination,
     ch,
@@ -37,6 +39,7 @@ from conftest import (
     pa,
     pa_noterm,
     par,
+    par_or_seq,
     random_es,
     random_pairs,
     renamed_copy,
@@ -82,6 +85,19 @@ def test_autoconcurrency_separates_hp_from_hhp():
     # fixture pair where the hereditary flavors disagree with plain hp
     got = verdict_map(choice3(), chain())
     assert got == {k: k.flavor is not Flavor.HHP for k in ALL_KINDS}
+
+
+@pytest.mark.parametrize(
+    "left,right,holds,fails",
+    [(par_or_seq, par, Flavor.STEP, Flavor.POMSET), (absorb3, absorb2, Flavor.HP, Flavor.HHP)],
+    ids=["step-not-pomset", "hp-not-hhp"],
+)
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_inputs_separate_the_hierarchy(left, right, holds, fails, mode):
+    es1, es2 = left(), right()
+    for decide in (check, game_check):
+        assert decide(es1, es2, BisimulationKind(holds, mode)).equivalent
+        assert not decide(es1, es2, BisimulationKind(fails, mode)).equivalent
 
 
 def test_greatest_relation_on_empty_structures():

@@ -103,7 +103,7 @@ def test_closures_match_naive_fixpoint():
         con = naive_conflict(n, leq, conflicts)
         for i in range(n):
             for j in range(n):
-                assert es.leq_idx(i, j) == leq[i][j]
+                assert es.leq(f"e{i}", f"e{j}") == leq[i][j]
                 assert es.in_conflict(f"e{i}", f"e{j}") == con[i][j]
                 if i != j:
                     expected = not con[i][j] and not leq[i][j] and not leq[j][i]
@@ -177,7 +177,8 @@ def brute_transitions(es: EventStructure, mask: int, step: bool):
         x = target & ~mask
         if target | mask != target or x == 0:
             continue
-        if step and not es.pairwise_concurrent(x):
+        names = es.events_of_mask(x)
+        if step and not all(es.concurrent(a, b) for a in names for b in names if a != b):
             continue
         out.add((x, target))
     return out

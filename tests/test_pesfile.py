@@ -124,10 +124,13 @@ def test_terminating_forms():
         ("pes X\nterminating none\nterminating none\n", 3, 1, "duplicate 'terminating'"),
         ("pes X\nfrob a\n", 2, 1, "unknown statement 'frob'"),
         ("pes X\nterminating ,\n", 2, 1, "expected 'terminating maximal|none|"),
-        ("pes X\nevent a : a\nterminating { {a,b} }\n", 3, 13, "undeclared event 'b'"),
+        ("pes X\nevent a : a\nterminating { {a,b} }\n", 3, 18, "undeclared event 'b'"),
         ("pes X\nterminating { { {x} } }\n", 2, 17, "sets nest at most one level"),
         ("pes X\nevent a : a\nterminating { a }\n", 3, 15, "event name outside a set"),
         ("pes X\nevent a : a\nterminating { {a}\n", 3, 17, "unbalanced '{'"),
+        # the sets sit in one outer pair of braces
+        ("pes X\nevent a : a\nevent b : b\nterminating { {a} } { {b} }\n", 4, 21, "one outer"),
+        ("pes X\nterminating {}{}\n", 2, 15, "only one outer '{ }' pair allowed"),
         # a brace in a comment, and a keyword before the sets, are no sets
         ("pes X\nevent a : a\nterminating # { {a} }\n", 3, 1, "expected 'terminating"),
         ("pes X\nevent a : a\nterminating maximal { {a} }\n", 3, 1, "expected 'terminating"),
