@@ -7,6 +7,7 @@ Exit codes: 0 equivalent, 1 inequivalent, 2 usage/parse/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -103,13 +104,27 @@ def cmd_check(args: argparse.Namespace) -> int:
     es1 = _load(args.files[0], caps)
     es2 = _load(args.files[1], caps)
     started = time.perf_counter()
-    oracle_verdict = None
-    game_verdict = None
-    if args.engine in ("oracle", "both"):
-        oracle_verdict = oracle.check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
-    if args.engine in ("game", "both"):
-        game_verdict = games.game_check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
+    verdicts: dict[str, Any] = {}
+    capped: dict[str, CapExceededError] = {}
+    for name, decide in (("oracle", oracle.check), ("game", games.game_check)):
+        if args.engine not in (name, "both"):
+            continue
+        try:
+            verdicts[name] = decide(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
+        except CapExceededError as exc:
+            if args.engine != "both":
+                raise
+            capped[name] = exc
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    if capped:
+        for name, exc in capped.items():
+            print(f"error: {name} engine: {exc}", file=sys.stderr)
+        for name, verdict in verdicts.items():
+            word = "equivalent" if verdict.equivalent else "inequivalent"
+            print(f"{name} engine finished: {word}", file=sys.stderr)
+        return 3
+    oracle_verdict = verdicts.get("oracle")
+    game_verdict = verdicts.get("game")
 
     agreement: bool | None = None
     if oracle_verdict is not None and game_verdict is not None:
@@ -243,6 +258,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pesbisim",

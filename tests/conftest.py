@@ -6,7 +6,8 @@ interleaving choice, TAU a silent step before a visible one.  CHOICE3
 and CHAIN are history-preserving bisimilar but not hereditarily so.
 PAR_OR_SEQ is step but not pomset bisimilar to PAR.  ABSORB3 and
 ABSORB2, the two sides of the absorption law, are history-preserving
-bisimilar but not hereditarily so.
+bisimilar but not hereditarily so.  PAR_SEQ_GLUED is pomset but not
+history-preserving bisimilar to PAR_SEQ_APART.
 """
 
 from __future__ import annotations
@@ -115,6 +116,21 @@ def absorb3() -> EventStructure:
 def absorb2() -> EventStructure:
     """(a‖(b+c)) + ((a+c)‖b)"""
     return _sum("ABSORB2", [_A_BC, _AC_B], conflicts=_CHOICES)
+
+
+def par_seq_glued() -> EventStructure:
+    """a‖a and a;a sharing one a: e2 is concurrent with e0 and below e1,
+    which excludes e0."""
+    return EventStructure(
+        "PAR_SEQ_GLUED", [("e0", "a"), ("e1", "a"), ("e2", "a")], [("e2", "e1")], [("e0", "e1")]
+    )
+
+
+def par_seq_apart() -> EventStructure:
+    """a‖a + a;a: the same pomsets as PAR_SEQ_GLUED, but here the first a
+    of a;a (e1) excludes both a of a‖a."""
+    summands = [[("e0", "a"), ("e2", "a")], [("e1", "a"), ("e3", "a")]]
+    return _sum("PAR_SEQ_APART", summands, causes=[("e1", "e3")])
 
 
 STANDARD = (p0, pa, par, seq, ch, tau, pa_noterm, halt_early, choice3, chain, tau_par)

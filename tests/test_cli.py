@@ -3,6 +3,7 @@ the interactive game loop."""
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import subprocess
@@ -107,6 +108,32 @@ def test_matching_universe_cap_exits_three(capsys):
 
 
 @pytest.mark.parametrize(
+    "options, err",
+    [
+        # the oracle decides CHOICE3/CHAIN strong hp within 20 positions; the arena needs 21
+        (
+            ["--max-positions", "20"],
+            "error: game engine: cap exceeded: positions limit is 20, needed 21\n"
+            "oracle engine finished: equivalent\n",
+        ),
+        (
+            ["--json", "--max-positions", "19"],
+            "error: oracle engine: cap exceeded: positions limit is 19, needed 20\n"
+            "error: game engine: cap exceeded: positions limit is 19, needed 20\n",
+        ),
+        (
+            ["--engine", "game", "--max-positions", "20"],
+            "error: cap exceeded: positions limit is 20, needed 21\n",
+        ),
+    ],
+    ids=["game-capped", "both-capped", "game-alone"],
+)
+def test_cap_message_names_the_engine_under_both(options, err, capsys):
+    argv = ["check", "--rel", "hp", "--mode", "strong", *options]
+    assert run_main(capsys, argv + [fx("choice3.pes"), fx("chain.pes")]) == (3, "", err)
+
+
+@pytest.mark.parametrize(
     "option, value, code",
     [
         ("--max-events", "-1", 2),
@@ -133,6 +160,53 @@ def test_every_option_has_help():
         for action in parser._actions:
             if action.option_strings:
                 assert action.help, (name, action.option_strings)
+
+
+def outcome(capsys, argv: list[str]) -> tuple[int, object]:
+    """The exit code and stdout of one call, a JSON report with its
+    timing zeroed."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    if "--json" in argv:
+        out = json.loads(out)
+        out["elapsed_ms"] = 0
+    return code, out
+
+
+SEQ_HP = ["--rel", "hp", "--mode", "strong", fx("seq.pes"), fx("seq.pes")]
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        (["check", "--json", "--witness", *SEQ_HP], ["check", "--json", *SEQ_HP]),
+        (["check", "--rel", "bogus", "--mode", "strong", fx("seq.pes"), fx("seq.pes")],
+         ["check", *SEQ_HP]),
+        (["export", "--what", "configs", fx("seq.pes")], ["check", *SEQ_HP]),
+    ],
+    ids=["witness-then-plain", "usage-error-then-check", "export-then-check"],
+)
+def test_repeated_calls_share_no_parsed_state(before, after, capsys):
+    first = outcome(capsys, after)
+    outcome(capsys, before)
+    second = outcome(capsys, after)
+    assert second == first
+    if "--json" in after:
+        assert "witness" not in second[1]
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    argv = ["check", "--rel", "pomset", "--mode", "strong", fx("par.pes"), fx("ch.pes")]
+    expected = run_main(capsys, argv)
+
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("main built a parser after its first call")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
+    assert run_main(capsys, argv) == expected
 
 
 def test_engine_disagreement_exits_four(capsys, monkeypatch):

@@ -40,6 +40,8 @@ from conftest import (
     pa_noterm,
     par,
     par_or_seq,
+    par_seq_apart,
+    par_seq_glued,
     random_es,
     random_pairs,
     renamed_copy,
@@ -89,8 +91,12 @@ def test_autoconcurrency_separates_hp_from_hhp():
 
 @pytest.mark.parametrize(
     "left,right,holds,fails",
-    [(par_or_seq, par, Flavor.STEP, Flavor.POMSET), (absorb3, absorb2, Flavor.HP, Flavor.HHP)],
-    ids=["step-not-pomset", "hp-not-hhp"],
+    [
+        (par_or_seq, par, Flavor.STEP, Flavor.POMSET),
+        (par_seq_glued, par_seq_apart, Flavor.POMSET, Flavor.HP),
+        (absorb3, absorb2, Flavor.HP, Flavor.HHP),
+    ],
+    ids=["step-not-pomset", "pomset-not-hp", "hp-not-hhp"],
 )
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_inputs_separate_the_hierarchy(left, right, holds, fails, mode):
