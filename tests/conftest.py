@@ -2,8 +2,9 @@
 
 The small named structures double as documentation: P0 is empty, PA a
 single visible event, PAR two concurrent events, SEQ a chain, CH the
-interleaving choice, TAU a silent step before a visible one.  CHOICE3
-and CHAIN are history-preserving bisimilar but not hereditarily so.
+interleaving choice, TAU a silent step before a visible one, PA_TAU a
+silent step after one.  CHOICE3 and CHAIN are history-preserving
+bisimilar but not hereditarily so.
 PAR_OR_SEQ is step but not pomset bisimilar to PAR.  ABSORB3 and
 ABSORB2, the two sides of the absorption law, are history-preserving
 bisimilar but not hereditarily so.  PAR_SEQ_GLUED is pomset but not
@@ -49,6 +50,10 @@ def ch() -> EventStructure:
 
 def tau() -> EventStructure:
     return EventStructure("TAU", [("t", "tau"), ("a", "a")], [("t", "a")])
+
+
+def pa_tau() -> EventStructure:
+    return EventStructure("PA_TAU", [("a", "a"), ("t", "tau")], [("a", "t")])
 
 
 def pa_noterm() -> EventStructure:
@@ -149,6 +154,8 @@ def fixture_pairs() -> list[tuple[EventStructure, EventStructure]]:
         (tau(), seq()),
         (tau(), tau_par()),
         (pa(), pa_noterm()),
+        # PA terminates at {a}, PA_TAU only after its silent step
+        (pa(), pa_tau()),
         (halt_early(), par()),
         (choice3(), chain()),
         (ch(), ch()),

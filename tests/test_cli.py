@@ -50,6 +50,27 @@ def test_branching_hp_golden(capsys):
     assert out == (GOLDEN_DIR / "check_tau_pa_hp_branching.txt").read_text()
 
 
+# Together the strategies take every kind of move describe_move names: both
+# Spoiler challenges and the termination challenge of either side, absorbing
+# and deferring by a silent step, a plain answer and a termination answer.
+WITNESS_RUNS = [
+    ["--engine", "game", "--rel", "pomset", "--mode", "branching", "ch.pes", "halt_early.pes"],
+    ["--engine", "game", "--rel", "step", "--mode", "strong", "ch.pes", "halt_early.pes"],
+    ["--engine", "game", "--rel", "hhp", "--mode", "branching", "pa.pes", "tau.pes"],
+    ["--engine", "game", "--rel", "pomset", "--mode", "branching", "pa.pes", "pa_tau.pes"],
+    ["--engine", "oracle", "--rel", "hp", "--mode", "branching", "tau.pes", "pa.pes"],
+]
+
+
+def test_witness_text_matches_golden(capsys):
+    out = []
+    for run in WITNESS_RUNS:
+        *options, left, right = run
+        code, text, _ = run_main(capsys, ["check", "--witness", *options, fx(left), fx(right)])
+        out.append(f"$ pesbisim check --witness {' '.join(run)}\n{text}exit {code}\n")
+    assert "".join(out) == (GOLDEN_DIR / "check_witness.txt").read_text()
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.pes"
     bad.write_text("pes X\ncause a < b\n")

@@ -16,6 +16,7 @@ from conftest import (
     p0,
     pa,
     pa_noterm,
+    pa_tau,
     par,
     seq,
     tau,
@@ -31,6 +32,7 @@ CONSTRUCTORS = {
     "choice3.pes": choice3,
     "chain.pes": chain,
     "pa_noterm.pes": pa_noterm,
+    "pa_tau.pes": pa_tau,
     "halt_early.pes": halt_early,
 }
 
