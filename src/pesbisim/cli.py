@@ -70,32 +70,43 @@ def _load(path: str, caps: Caps) -> EventStructure:
 
 
 def _serialize_witness(verdict: oracle.Verdict) -> list:
-    assert verdict.witness is not None
+    relation = verdict.witness
+    assert relation is not None
+    es1, es2 = relation.es1, relation.es2
     out = []
-    for member in verdict.witness.sorted_members():
-        if verdict.kind.posetal:
-            out.append(
-                {
-                    "left": list(member.cfg1.events),
-                    "right": list(member.cfg2.events),
-                    "map": [list(p) for p in member.pairs_by_name],
-                }
-            )
-        else:
-            c1, c2 = member
-            out.append({"left": list(c1.events), "right": list(c2.events)})
+    for m1, pairs, m2 in relation.sorted_keys():
+        entry = {"left": list(es1.events_of_mask(m1)), "right": list(es2.events_of_mask(m2))}
+        if pairs is not None:
+            entry["map"] = [[es1.events[i], es2.events[j]] for i, j in pairs]
+        out.append(entry)
     return out
 
 
 def _serialize_strategy(gv: games.GameVerdict) -> list:
+    arena = gv.arena
+    keys, rules, succ = arena.keys, arena.rules, arena.succ
     return [
         {
-            "position": gv.arena.describe(pos),
-            "rule": mv.rule,
-            "move": gv.arena.describe_move(pos, mv),
+            "position": arena.describe(keys[i]),
+            "rule": rules[i][k],
+            "move": arena.describe_move(keys[i], rules[i][k], keys[succ[i][k]]),
         }
-        for pos, mv in gv.strategy_moves()
+        for i, k in gv.strategy_moves()
     ]
+
+
+def _json_lines(report: dict[str, Any]) -> str:
+    """The report with one key per line, its value compact, and the
+    witness entries one per line."""
+    fields = []
+    for name, value in report.items():
+        if name == "witness" and value:
+            entries = ",\n".join(f"    {json.dumps(entry)}" for entry in value)
+            text = f"[\n{entries}\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f'  "{name}": {text}')
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -172,7 +183,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             report["agreement"] = agreement
         if witness is not None:
             report["witness"] = witness
-        print(json.dumps(report, indent=2))
+        print(_json_lines(report))
     else:
         verdict_word = "equivalent" if equivalent else "inequivalent"
         print(f"{es1.name} vs {es2.name}: {kind}: {verdict_word}")
@@ -209,7 +220,7 @@ def cmd_play(args: argparse.Namespace) -> int:
         mv = turn.machine_move
         if mv is None:
             for i, option in enumerate(legal):
-                print(f"  [{i}] {arena.describe_move(pos, option)}")
+                print(f"  [{i}] {arena.describe_move(pos, option.rule, option.target)}")
             choice = None
             while choice is None:
                 print(f"{human.value} move> ", end="", flush=True)
@@ -223,9 +234,10 @@ def cmd_play(args: argparse.Namespace) -> int:
                 else:
                     print(f"enter a move number between 0 and {len(legal) - 1}")
             mv = legal[choice]
-            print(f"{human.value} plays [{choice}] {arena.describe_move(pos, mv)}")
+            print(f"{human.value} plays [{choice}] {arena.describe_move(pos, mv.rule, mv.target)}")
         else:
-            print(f"{machine.value} plays {arena.describe_move(pos, mv)}  [{mv.rule}]")
+            said = arena.describe_move(pos, mv.rule, mv.target)
+            print(f"{machine.value} plays {said}  [{mv.rule}]")
             machine_rules.append(mv.rule)
         pos = mv.target
     print(games.ENDINGS[turn.ending])

@@ -36,12 +36,12 @@ def arena_dot(verdict: GameVerdict) -> str:
     arena = verdict.arena
     lines = [f"digraph {_quote(arena.es1.name + '_vs_' + arena.es2.name)} {{"]
     demoted = set(verdict.demoted_ids)
-    for i, (pos, w) in enumerate(zip(arena.positions, verdict.win)):
-        shape = "box" if pos.owner is Role.SPOILER else "diamond"
+    for i, (key, w) in enumerate(zip(arena.keys, verdict.win)):
+        shape = "box" if key[4] is None else "diamond"
         color = "palegreen" if w is Role.DUPLICATOR else "lightcoral"
         extra = " peripheries=2" if i in demoted else ""
         lines.append(
-            f"  n{i} [label={_quote(arena.describe(pos))} shape={shape} "
+            f"  n{i} [label={_quote(arena.describe(key))} shape={shape} "
             f"style=filled fillcolor={color}{extra}];"
         )
     for i, (rules, out) in enumerate(zip(arena.rules, arena.succ)):

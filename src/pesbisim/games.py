@@ -32,7 +32,7 @@ ends there; ``play_turn`` decides, for ``replay`` and the interactive
 ``play`` command alike, when a play ends, who wins and what the machine
 plays.  The ``GamePosition`` and ``Move`` objects that plays and
 strategies are told in are views of the keys and ids, built on first
-access; the DOT export reads the ids.
+access; the DOT export and the rendered strategy read the keys and ids.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ArenaCycleError, CapExceededError, IllegalMoveError, ValidationError
 from .kinds import BisimulationKind, Flavor
@@ -60,8 +60,7 @@ class Role(Enum):
         return Role.DUPLICATOR if self is Role.SPOILER else Role.SPOILER
 
 
-@dataclass(frozen=True)
-class Challenge:
+class Challenge(NamedTuple):
     """A pending obligation: either a challenged transition of the left
     side (added events plus resulting configuration) or a termination
     claim."""
@@ -71,12 +70,12 @@ class Challenge:
     target_mask: int = 0
 
 
-@dataclass(frozen=True)
-class GamePosition:
-    """left/right are configuration masks; swapped records whether left
-    belongs to the second structure.  pairs is the normalized matching
-    (first-structure index, second-structure index) for hp/hhp, None
-    otherwise.  Spoiler owns positions without a challenge."""
+class GamePosition(NamedTuple):
+    """A position's key (see Arena) with named fields.  left/right are
+    configuration masks; swapped records whether left belongs to the second
+    structure.  pairs is the normalized matching (first-structure index,
+    second-structure index) for hp/hhp, None otherwise.  Spoiler owns
+    positions without a challenge."""
 
     swapped: bool
     left: int
@@ -102,9 +101,9 @@ class Arena:
     tuple (swapped, left, right, pairs, challenge) whose challenge is None
     or (kind, x_mask, target_mask).  succ[i] holds the ids of the targets
     of its moves and rules[i] the moves' rule names, in move order; the
-    builder, the solver and the DOT export work on these alone.  The
-    object views, positions (a GamePosition per id) and moves (each
-    position's Move tuple), are built on first access."""
+    builder, the solver, the DOT export and describe/describe_move work on
+    these alone.  The object views, positions (a GamePosition per id) and
+    moves (each position's Move tuple), are built on first access."""
 
     def __init__(
         self,
@@ -141,47 +140,45 @@ class Arena:
     def initial(self) -> GamePosition:
         return self.positions[0]
 
-    def sides(self, pos: GamePosition) -> tuple[EventStructure, EventStructure]:
-        return (self.es2, self.es1) if pos.swapped else (self.es1, self.es2)
+    def sides(self, swapped: bool) -> tuple[EventStructure, EventStructure]:
+        return (self.es2, self.es1) if swapped else (self.es1, self.es2)
 
-    def describe(self, pos: GamePosition) -> str:
-        es_l, es_r = self.sides(pos)
-        body = f"({es_l.format_mask(pos.left)}, {es_r.format_mask(pos.right)})"
-        if pos.pairs is not None:
-            fes1, fes2 = (self.es1, self.es2)
-            inner = ",".join(f"{fes1.events[i]}->{fes2.events[j]}" for i, j in pos.pairs)
+    def describe(self, key: Key) -> str:
+        """The position with this key (or GamePosition) as text."""
+        sw, left, right, pairs, ch = key
+        es_l, es_r = self.sides(sw)
+        body = f"({es_l.format_mask(left)}, {es_r.format_mask(right)})"
+        if pairs is not None:
+            names1, names2 = self.es1.events, self.es2.events
+            inner = ",".join(f"{names1[i]}->{names2[j]}" for i, j in pairs)
             body += f" match {{{inner}}}"
-        if pos.swapped:
+        if sw:
             body += " [sides swapped]"
-        if pos.challenge is None:
+        if ch is None:
             return f"[{body}]"
-        ch = pos.challenge
-        if ch.kind == "termination":
+        if ch[0] == "termination":
             return f"<{body} ? left side terminated>"
-        return f"<{body} ? X={es_l.format_mask(ch.x_mask)}>"
+        return f"<{body} ? X={es_l.format_mask(ch[1])}>"
 
-    def describe_move(self, source: GamePosition, move: Move) -> str:
-        es_l, es_r = self.sides(source)
-        t = move.target
-        if move.rule == "spoiler-challenge-left":
-            assert t.challenge is not None
-            return f"challenge left X={es_l.format_mask(t.challenge.x_mask)}"
-        if move.rule == "spoiler-challenge-right":
-            assert t.challenge is not None
-            return f"challenge right X={es_r.format_mask(t.challenge.x_mask)}"
-        if move.rule == "spoiler-termination-challenge":
-            side = "left" if t.swapped == source.swapped else "right"
+    def describe_move(self, source: Key, rule: str, target: Key) -> str:
+        """The move by rule from source to target (keys or GamePositions) as text."""
+        sw, _, right, _, ch = source
+        t_sw, _, t_right, _, t_ch = target
+        es_l, es_r = self.sides(sw)
+        if rule == "spoiler-challenge-left":
+            return f"challenge left X={es_l.format_mask(t_ch[1])}"
+        if rule == "spoiler-challenge-right":
+            return f"challenge right X={es_r.format_mask(t_ch[1])}"
+        if rule == "spoiler-termination-challenge":
+            side = "left" if t_sw == sw else "right"
             return f"challenge termination of the {side} side"
-        if move.rule == "duplicator-absorb-tau":
+        if rule == "duplicator-absorb-tau":
             return "absorb the silent challenge"
-        if move.rule == "duplicator-tau-step":
-            added = t.right & ~source.right
-            return f"silent step {es_r.format_mask(added)}, dropping the challenge"
-        assert source.challenge is not None
-        if source.challenge.kind == "termination":
-            return f"reach terminating {es_r.format_mask(t.right)} by silent moves"
-        added = t.right & ~source.right
-        return f"answer with Y={es_r.format_mask(added)}"
+        if rule == "duplicator-tau-step":
+            return f"silent step {es_r.format_mask(t_right & ~right)}, dropping the challenge"
+        if ch[0] == "termination":
+            return f"reach terminating {es_r.format_mask(t_right)} by silent moves"
+        return f"answer with Y={es_r.format_mask(t_right & ~right)}"
 
 
 @dataclass
@@ -217,15 +214,18 @@ class GameVerdict:
             if (key[4] is None) == (w is spoiler) and i not in skip
         ]
 
+    def _choices(self, ids: Iterable[int]) -> list[tuple[int, int]]:
+        """(id, index of the canonical move) for each of the position ids."""
+        succ, win = self.arena.succ, self.win
+        return [(i, next(k for k, j in enumerate(succ[i]) if win[j] is win[i])) for i in ids]
+
     @cached_property
     def strategy(self) -> dict[GamePosition, Move]:
-        arena, win = self.arena, self.win
-        positions, rules, succ = arena.positions, arena.rules, arena.succ
-        out = {}
-        for i in self.strategy_ids():
-            k = next(k for k, j in enumerate(succ[i]) if win[j] is win[i])
-            out[positions[i]] = Move(rules[i][k], positions[succ[i][k]])
-        return out
+        positions, rules, succ = self.arena.positions, self.arena.rules, self.arena.succ
+        return {
+            positions[i]: Move(rules[i][k], positions[succ[i][k]])
+            for i, k in self._choices(self.strategy_ids())
+        }
 
     @cached_property
     def demoted(self) -> frozenset[GamePosition]:
@@ -233,14 +233,14 @@ class GameVerdict:
 
     def strategy_size(self) -> int:
         """The number of the winner's chosen moves, len(strategy_moves()),
-        counted without building position objects."""
+        counted without searching for the moves."""
         win = self.win
         return sum(1 for i in self.strategy_ids() if win[i] is win[0])
 
-    def strategy_moves(self) -> list[tuple[GamePosition, Move]]:
-        """The winner's chosen moves, in arena position order."""
-        win = self.winner
-        return [(pos, mv) for pos, mv in self.strategy.items() if pos.owner is win]
+    def strategy_moves(self) -> list[tuple[int, int]]:
+        """The winner's chosen moves as (position id, move index), in arena order."""
+        win = self.win
+        return self._choices(i for i in self.strategy_ids() if win[i] is win[0])
 
 
 _TERMINATION = ("termination", 0, 0)
@@ -490,9 +490,9 @@ class Transcript:
 
     def render(self, arena: Arena) -> str:
         lines = [
-            f"{step.actor.value}: {arena.describe_move(step.position, step.move)}"
-            f"  [{step.move.rule}]"
-            for step in self.steps
+            f"{s.actor.value}: {arena.describe_move(s.position, s.move.rule, s.move.target)}"
+            f"  [{s.move.rule}]"
+            for s in self.steps
         ]
         lines.append(ENDINGS[self.ending])
         return "\n".join(lines)

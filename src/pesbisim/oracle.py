@@ -83,10 +83,13 @@ class Relation:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def sorted_keys(self) -> list[Key]:
+        """The keys ordered by first mask, second mask, pairs."""
+        return sorted(self.keys, key=lambda k: (k[0], k[2], k[1]))
+
     def sorted_members(self) -> list:
-        """The members as objects, ordered by first mask, second mask, pairs."""
-        es1, es2 = self.es1, self.es2
-        keys = sorted(self.keys, key=lambda k: (k[0], k[2], k[1]))
+        """The members as objects, in the order of sorted_keys."""
+        es1, es2, keys = self.es1, self.es2, self.sorted_keys()
         if self.kind.posetal:
             weak = self.kind.branching
             return [Matching(es1, es2, m1, m2, pairs, weak) for m1, pairs, m2 in keys]

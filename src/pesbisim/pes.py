@@ -12,9 +12,9 @@ order; configurations and the event sets that transitions add are
 bitmasks over those indices, and the canonical order of configurations is
 ascending mask order.  The engines read every move through the mask-level
 methods (``enabled``, ``transition_masks``, ``tau_reachable_masks``,
-``terminates_mask``), which cache their answers per mask.  A cache entry
-never changes once written, so instances are safe to share across
-threads.
+``terminates_mask``), which cache their answers per mask; ``format_mask``
+caches the event names of each mask as text.  A cache entry never
+changes once written, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -199,6 +199,7 @@ class EventStructure:
         self._enabled_cache: dict[int, tuple[int, ...]] = {}
         self._trans_cache: dict[tuple[int, bool], tuple[tuple[int, int], ...]] = {}
         self._tau_cache: dict[int, tuple[int, ...]] = {}
+        self._format_cache: dict[int, str] = {}
         self._twin_masks: tuple[int, ...] | None = None
 
     def _resolve(self, event: str) -> int:
@@ -234,7 +235,10 @@ class EventStructure:
         return tuple(self._events[i] for i in bits(mask))
 
     def format_mask(self, mask: int) -> str:
-        return "{" + ",".join(self.events_of_mask(mask)) + "}"
+        text = self._format_cache.get(mask)
+        if text is None:
+            text = self._format_cache[mask] = "{" + ",".join(self.events_of_mask(mask)) + "}"
+        return text
 
     # ------------------------------------------------------------------
     # derived relations

@@ -6,12 +6,16 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pesbisim.cli import build_parser, main
+from pesbisim.games import GamePosition, Move
+from pesbisim.pomsets import Matching
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR
 
@@ -228,6 +232,70 @@ def test_parser_is_built_once(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
     assert run_main(capsys, argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, views",
+    [
+        (["check", "--json", "--witness", "--engine", "game", "--rel", "pomset", "--mode",
+          "strong", fx("par.pes"), fx("ch.pes")], (GamePosition, Move)),
+        (["check", "--json", "--witness", "--engine", "game", "--rel", "hhp", "--mode",
+          "branching", fx("pa.pes"), fx("tau.pes")], (GamePosition, Move)),
+        (["export", "--what", "arena", "--rel", "hhp", "--mode", "strong",
+          fx("choice3.pes"), fx("chain.pes")], (GamePosition, Move)),
+        (["check", "--json", "--witness", "--engine", "oracle", "--rel", "hp", "--mode",
+          "strong", fx("choice3.pes"), fx("chain.pes")], (Matching,)),
+    ],
+    ids=["spoiler-strategy", "duplicator-strategy", "export-arena", "relation"],
+)
+def test_witness_builds_no_object_views(argv, views, capsys, monkeypatch):
+    expected = outcome(capsys, argv)
+
+    def no_view(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for view in views:
+        monkeypatch.setattr(view, "__init__", no_view)
+    assert outcome(capsys, argv) == expected
+
+
+def test_readme_json_report_is_what_the_cli_prints(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### JSON report\n\n```json\n", 1)[1].split("```", 1)[0]
+    argv = ["check", "--json", "--rel", "hp", "--mode", "branching"]
+    code, out, _ = run_main(capsys, argv + [fx("tau.pes"), fx("pa.pes")])
+    assert code == 0
+    timing = re.compile(r'"elapsed_ms": [0-9.]+')
+    expected = [timing.sub('"elapsed_ms": T', line) for line in block.splitlines()]
+    assert [timing.sub('"elapsed_ms": T', line) for line in out.splitlines()] == expected
+
+
+@pytest.mark.parametrize(
+    "options, files",
+    [
+        (["--rel", "hp", "--mode", "strong"], ["choice3.pes", "chain.pes"]),
+        (["--engine", "game", "--rel", "pomset", "--mode", "branching"],
+         ["ch.pes", "halt_early.pes"]),
+    ],
+    ids=["relation", "strategy"],
+)
+def test_json_witness_entries_sit_on_lines_of_their_own(options, files, capsys):
+    _, out, _ = run_main(capsys, ["check", "--json", "--witness", *options, *map(fx, files)])
+    witness = json.loads(out)["witness"]
+    lines = out.splitlines()
+    entries = lines[lines.index('  "witness": [') + 1 : -2]
+    assert len(witness) > 1 and lines[-2:] == ["  ]", "}"]
+    assert entries == [f"    {json.dumps(entry)}," for entry in witness[:-1]] + [
+        f"    {json.dumps(witness[-1])}"
+    ]
+
+
+def test_empty_witness_is_valid_json(capsys):
+    argv = ["check", "--json", "--witness", "--engine", "game", "--rel", "hp", "--mode", "strong"]
+    code, out, _ = run_main(capsys, argv + [fx("p0.pes"), fx("p0.pes")])
+    report = json.loads(out)
+    assert code == 0 and report["witness_summary"]["moves"] == 0 and report["witness"] == []
+    assert '  "witness": []' in out.splitlines()
 
 
 def test_engine_disagreement_exits_four(capsys, monkeypatch):

@@ -153,9 +153,12 @@ def test_solve_assigns_every_position():
 def test_strategy_moves_belong_to_the_winner():
     verdict = game_check(seq(), seq(), POMSET_STRONG)
     assert verdict.equivalent and verdict.winner is Role.DUPLICATOR
-    for pos, mv in verdict.strategy_moves():
+    chosen = verdict.strategy_moves()
+    assert len(chosen) == verdict.strategy_size()
+    for i, k in chosen:
+        pos = verdict.arena.positions[i]
         assert pos.owner is Role.DUPLICATOR
-        assert mv in verdict.arena.moves[pos]
+        assert verdict.strategy[pos] == verdict.arena.moves[pos][k]
 
 
 def test_replay_spoiler_stuck():
