@@ -59,7 +59,7 @@ def _add_common(parser: argparse.ArgumentParser, *, required: bool) -> None:
 
 def _load(path: str, caps: Caps) -> EventStructure:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

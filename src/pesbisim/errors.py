@@ -43,5 +43,7 @@ class IllegalMoveError(PesBisimError):
 
 
 class ArenaCycleError(PesBisimError):
-    """A game arena contains a cycle; arenas are acyclic by construction,
-    so this signals an internal bug rather than bad input."""
+    """A move does not lead to a position that the solver's sweep has
+    already decided, which every cycle in a game arena causes; arenas are
+    acyclic by construction, so this signals an internal bug rather than
+    bad input."""

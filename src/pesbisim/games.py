@@ -14,25 +14,21 @@ Configurations only ever grow, so arenas are finite DAGs; a player with
 no move loses.  The builder explores positions as plain tuple keys and
 reads Spoiler's challenges and Duplicator's matches from the oracle's
 ``Engine.challenges`` and ``Engine.answers``.  The arena numbers its
-positions as it finds them, and the solver works on those ids alone,
-by retrograde counting (the
-attractor construction): starting from the stuck positions, a decided
-position decides each predecessor whose owner it favours, and counts
-down the undecided successors of the others, which their owner loses
-once none are left.  The hereditary flavors judge games started at
-every matching, so their arenas seed a position per valid matching; the
-solver then demotes Duplicator-won positions whose matching has a
-synchronized shrinking with no Duplicator-won counterpart to
-Spoiler-won sinks, and propagates only the Duplicator-to-Spoiler flips
-each demotion causes, with the same counters and the same attractor
-step, until no demotion fires.
-Wins only ever move from Duplicator to Spoiler, so this gives what
-solving again from scratch would.  A play reaching a demoted position
-ends there; ``play_turn`` decides, for ``replay`` and the interactive
-``play`` command alike, when a play ends, who wins and what the machine
-plays.  The ``GamePosition`` and ``Move`` objects that plays and
-strategies are told in are views of the keys and ids, built on first
-access; the DOT export and the rendered strategy read the keys and ids.
+positions as it finds them, and the solver works on those ids alone, by
+backward induction in one sweep: every move adds a challenge or an
+event, so taking positions by descending configuration size, challenged
+ones first, decides every successor before its predecessors.  The
+hereditary flavors judge games started at every matching, so their
+arenas seed a position per valid matching; the solver then demotes
+Duplicator-won positions whose matching has a synchronized shrinking
+with no Duplicator-won counterpart to Spoiler-won sinks, and sweeps
+again with the demoted positions preset, until no demotion fires.  A
+play reaching a demoted position ends there; ``play_turn`` decides, for
+``replay`` and the interactive ``play`` command alike, when a play ends,
+who wins and what the machine plays.  The ``GamePosition`` and ``Move``
+objects that plays and strategies are told in are views of the keys and
+ids, built on first access; the DOT export and the rendered strategy
+read the keys and ids.
 """
 
 from __future__ import annotations
@@ -336,90 +332,63 @@ def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
     return moves
 
 
-def _retrograde(arena: Arena) -> tuple[list[Role], Callable[[list[int], Role | None], None]]:
-    """Retrograde counting over the acyclic arena, by position id.
-
-    Returns the winner of each position and the attractor step that
-    decided them, attract(queue, still_open).  It propagates the winners
-    of the positions in queue to their predecessors, and on from there: a
-    predecessor whose winner is still_open (None while solving, Duplicator
-    while demoting) goes to its owner on a successor its owner won, and to
-    the other player once none of its successors is left that is not won
-    against its owner.  That count of successors, kept per position, is
-    what the owner still has to play for; once everything is decided it
-    is, for a Duplicator position, the number of its Duplicator-won
-    successors."""
-    succ = arena.succ
+def _sweep(arena: Arena, demoted: Iterable[int] = ()) -> list[Role]:
+    """Backward induction in one sweep over the arena, by position id, with
+    the demoted positions preset as Spoiler-won sinks.  Every move adds a
+    challenge or an event, and every Duplicator move also drops the
+    challenge, so 2 * |configurations| + (1 if challenged) grows along
+    each move, and taking positions by that rank, largest first, reaches
+    every successor before its predecessors.  A position goes to its owner
+    if some successor was won by its owner, else to the other player, so a
+    player with no move loses."""
+    keys, succ = arena.keys, arena.succ
     spoiler, duplicator = Role.SPOILER, Role.DUPLICATOR
-    owner = [spoiler if key[4] is None else duplicator for key in arena.keys]
-    pred: list[list[int]] = [[] for _ in succ]
-    for i, out in enumerate(succ):
-        for j in out:
-            pred[j].append(i)
-    count = [len(out) for out in succ]
-    win: list[Role | None] = [None] * len(succ)
-
-    def attract(queue: list[int], still_open: Role | None) -> None:
-        while queue:
-            j = queue.pop()
-            w = win[j]
-            for i in pred[j]:
-                if owner[i] is not w:
-                    count[i] -= 1
-                    if count[i]:
-                        continue
-                if win[i] is still_open:
-                    win[i] = w
-                    queue.append(i)
-
-    # a stuck player loses
-    stuck = [i for i, c in enumerate(count) if not c]
-    for i in stuck:
-        win[i] = spoiler if owner[i] is duplicator else duplicator
-    attract(stuck, None)
-    if None in win:
-        raise ArenaCycleError("cycle detected in game arena")
-    return win, attract
+    win: list[Role | None] = [None] * len(keys)
+    for i in demoted:
+        win[i] = spoiler
+    rank = [
+        2 * (left.bit_count() + right.bit_count()) + (ch is not None)
+        for _, left, right, _, ch in keys
+    ]
+    for i in sorted(range(len(keys)), key=rank.__getitem__, reverse=True):
+        if win[i] is None:
+            results = [win[j] for j in succ[i]]
+            if None in results:
+                raise ArenaCycleError("a move leads to a position the sweep has not decided")
+            owner = spoiler if keys[i][4] is None else duplicator
+            win[i] = owner if owner in results else owner.other()
+    return win
 
 
 def solve(arena: Arena) -> GameVerdict:
-    """Retrograde counting over the acyclic arena: a stuck player loses."""
-    win, _ = _retrograde(arena)
-    return GameVerdict(arena, win)
+    """Backward induction over the acyclic arena: a stuck player loses."""
+    return GameVerdict(arena, _sweep(arena))
 
 
 def solve_hereditary(arena: Arena) -> GameVerdict:
-    """Retrograde counting refined by hereditary closure: a
-    Duplicator-won triple position whose matching has a synchronized
-    shrinking with no Duplicator-won counterpart is demoted to a
-    Spoiler-won sink, and the flips this causes are propagated to its
-    predecessors, until no demotion fires."""
+    """Backward induction refined by hereditary closure: a Duplicator-won
+    triple position whose matching has a synchronized shrinking with no
+    Duplicator-won counterpart is demoted to a Spoiler-won sink, and the
+    arena is swept again with every demoted position preset, until no
+    demotion fires."""
     if not arena.kind.posetal:
         raise ValidationError("hereditary solving needs matching-carrying positions")
     eng = arena.engine
-    win, attract = _retrograde(arena)
-    duplicator = Role.DUPLICATOR
     triples = {
         i: (right, pairs, left) if sw else (left, pairs, right)
         for i, (sw, left, right, pairs, ch) in enumerate(arena.keys)
         if ch is None
     }
-    won = [i for i in triples if win[i] is duplicator]
     demoted: list[int] = []
     while True:
+        win = _sweep(arena, demoted)
+        won = [i for i in triples if win[i] is Role.DUPLICATOR]
         alive = {triples[i] for i in won}
         # both orientations of a matching share its triple: check it once
         broken = {t for t in alive if not hereditary_ok(eng, t, alive)}
         if not broken:
             return GameVerdict(arena, win, demoted)
-        newly = [i for i in won if triples[i] in broken]
-        demoted += newly
-        # Only Duplicator wins can flip, each once, so a Duplicator
-        # position's count stays its number of Duplicator-won successors.
-        for i in newly:
-            win[i] = Role.SPOILER
-        attract(newly, duplicator)
-        won = [i for i in won if win[i] is duplicator]
+        demoted += [i for i in won if triples[i] in broken]
 
 
 def game_check(

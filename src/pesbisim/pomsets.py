@@ -132,23 +132,10 @@ class Matching:
                     )
         return None
 
-    # -- views ------------------------------------------------------------
-
-    @property
-    def cfg1(self) -> Configuration:
-        return Configuration(self.es1, self.mask1)
-
-    @property
-    def cfg2(self) -> Configuration:
-        return Configuration(self.es2, self.mask2)
-
-    @property
-    def pairs_by_name(self) -> tuple[tuple[str, str], ...]:
-        return tuple((self.es1.events[i], self.es2.events[j]) for i, j in self.pairs)
-
     def __str__(self) -> str:
-        inner = ",".join(f"{a}->{b}" for a, b in self.pairs_by_name)
-        return f"({self.cfg1},{{{inner}}},{self.cfg2})"
+        es1, es2 = self.es1, self.es2
+        inner = ",".join(f"{es1.events[i]}->{es2.events[j]}" for i, j in self.pairs)
+        return f"({es1.format_mask(self.mask1)},{{{inner}}},{es2.format_mask(self.mask2)})"
 
 
 def enumerate_matchings(c1: Configuration, c2: Configuration, *, weak: bool) -> tuple[Matching, ...]:

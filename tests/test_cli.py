@@ -103,6 +103,14 @@ def test_non_utf8_file_exits_two(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {bad}") and "Traceback" not in err
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    bom = tmp_path / "bom.pes"
+    bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / "par.pes").read_bytes())
+    options = ["check", "--rel", "pomset", "--mode", "strong"]
+    expected = run_main(capsys, [*options, fx("par.pes"), fx("ch.pes")])
+    assert run_main(capsys, [*options, str(bom), fx("ch.pes")]) == expected
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--rel", "nonsense", "--mode", "strong", fx("pa.pes"), fx("pa.pes")])

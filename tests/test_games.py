@@ -33,6 +33,8 @@ from pesbisim.games import (
 from pesbisim.oracle import Engine, hereditary_ok
 
 from conftest import (
+    absorb2,
+    absorb3,
     ch,
     chain,
     choice3,
@@ -42,6 +44,9 @@ from conftest import (
     pa,
     pa_noterm,
     par,
+    par_or_seq,
+    par_seq_apart,
+    par_seq_glued,
     random_es,
     random_pairs,
     seq,
@@ -120,6 +125,9 @@ def test_arena_positions_alternate():
                         }
                     else:
                         assert mv.target.owner is Role.SPOILER
+                        # an answer adds events, so the solver's sweep order holds
+                        size = pos.left.bit_count() + pos.right.bit_count()
+                        assert mv.target.left.bit_count() + mv.target.right.bit_count() > size
                 if kind.posetal and pos.pairs is not None:
                     m1, pairs, m2 = _triple(pos)
                     if pos.swapped:
@@ -195,8 +203,9 @@ def test_replay_rejects_bad_moves():
 
 
 def test_solve_rejects_cyclic_arena():
-    """Arenas built from structures are acyclic; a hand-built cycle leaves
-    both positions undecided, which the solver reports."""
+    """Arenas built from structures are acyclic; in a hand-built cycle some
+    move leads to a position the solver's sweep has not decided yet, which
+    the solver reports."""
     es = pa()
     spoiler = (False, 0, 0, None, None)
     duplicator = (False, 0, 0, None, ("transition", 1, 1))
@@ -349,8 +358,10 @@ def _reference_solve(arena):
         random_pairs(43, 40, max_events=5),
         # one label: autoconcurrent events, where hereditary demotion fires
         random_pairs(44, 80, max_events=5, alphabet="a"),
+        # hhp demotion makes the hp-equivalent ABSORB3/ABSORB2 inequivalent
+        [(par_or_seq(), par()), (par_seq_glued(), par_seq_apart()), (absorb3(), absorb2())],
     ],
-    ids=["fixtures", "random", "one-label"],
+    ids=["fixtures", "random", "one-label", "hierarchy"],
 )
 def test_solver_matches_reference(pairs):
     for es1, es2 in pairs:
