@@ -32,13 +32,12 @@ from .kinds import ALL_KINDS, BisimulationKind, Flavor, Mode
 from .oracle import Relation, Verdict, check, greatest_bisimulation, verify_witness
 from .pes import (
     Caps,
-    Configuration,
     EventStructure,
     TerminationPolicy,
     SILENT_LABEL,
 )
 from .pesfile import PesDocument, format_document, parse_document, parse_pes
-from .pomsets import Matching, enumerate_matchings
+from .pomsets import enumerate_matchings
 
 __version__ = "0.1.0"
 
@@ -50,14 +49,12 @@ __all__ = [
     "CapExceededError",
     "Caps",
     "Challenge",
-    "Configuration",
     "EventStructure",
     "Flavor",
     "GamePosition",
     "GameVerdict",
     "IllegalMoveError",
     "MalformedWitnessError",
-    "Matching",
     "Mode",
     "Move",
     "ParseError",

@@ -35,7 +35,8 @@ class ParseError(PesBisimError):
 
 
 class MalformedWitnessError(PesBisimError):
-    """A relation handed to verify_witness contains an ill-formed element."""
+    """A witness handed to verify_witness holds a malformed key, or is a
+    Relation of another structure pair."""
 
 
 class IllegalMoveError(PesBisimError):

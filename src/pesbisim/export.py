@@ -16,16 +16,14 @@ def configuration_graph_dot(es: EventStructure) -> str:
     Nodes appear in canonical (mask) order; terminating configurations
     are drawn with a double border."""
     configs = es.configurations()
-    index = {c.mask: i for i, c in enumerate(configs)}
+    index = {m: i for i, m in enumerate(configs)}
     lines = [f"digraph {_quote(es.name)} {{", "  rankdir=LR;"]
-    for i, c in enumerate(configs):
-        shape = "doubleoctagon" if es.terminates_mask(c.mask) else "box"
-        lines.append(f"  n{i} [label={_quote(str(c))} shape={shape}];")
-    for c in configs:
-        for x, target in es.transition_masks(c.mask, step=False):
-            lines.append(
-                f"  n{index[c.mask]} -> n{index[target]} [label={_quote(es.format_mask(x))}];"
-            )
+    for i, m in enumerate(configs):
+        shape = "doubleoctagon" if es.terminates_mask(m) else "box"
+        lines.append(f"  n{i} [label={_quote(es.format_mask(m))} shape={shape}];")
+    for i, m in enumerate(configs):
+        for x, target in es.transition_masks(m, step=False):
+            lines.append(f"  n{i} -> n{index[target]} [label={_quote(es.format_mask(x))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

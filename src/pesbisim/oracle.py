@@ -60,17 +60,17 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, MalformedWitnessError
 from .kinds import BisimulationKind, Flavor
-from .pes import Configuration, EventStructure, bits
-from .pomsets import Matching, Pairs, iso_masks, signature
+from .pes import EventStructure, bits
+from .pomsets import Pairs, iso_masks, matching_fault, signature
 from .pomsets import enumerate_matchings  # noqa: F401  perfbench/tracing.py wraps this name
 
 Key = tuple[int, Pairs | None, int]
-"""(first mask, pairs, second mask); pairs is None for pomset and step."""
+"""(first mask, pairs, second mask); pairs is None for pomset and step,
+and for hp and hhp the matching's pairs, sorted by first index."""
 
 
 class Relation:
-    """A set of related states, kept as keys (first mask, pairs, second
-    mask), pairs None for pomset and step."""
+    """A set of related states of es1 and es2 under kind, kept as keys (see Key)."""
 
     def __init__(
         self, es1: EventStructure, es2: EventStructure, kind: BisimulationKind, keys: frozenset[Key]
@@ -86,14 +86,6 @@ class Relation:
     def sorted_keys(self) -> list[Key]:
         """The keys ordered by first mask, second mask, pairs."""
         return sorted(self.keys, key=lambda k: (k[0], k[2], k[1]))
-
-    def sorted_members(self) -> list:
-        """The members as objects, in the order of sorted_keys."""
-        es1, es2, keys = self.es1, self.es2, self.sorted_keys()
-        if self.kind.posetal:
-            weak = self.kind.branching
-            return [Matching(es1, es2, m1, m2, pairs, weak) for m1, pairs, m2 in keys]
-        return [(Configuration(es1, m1), Configuration(es2, m2)) for m1, _, m2 in keys]
 
 
 @dataclass(frozen=True)
@@ -209,8 +201,8 @@ class Engine:
 
 
 def _pair_universe(eng: Engine) -> list[Key]:
-    masks1 = sorted(eng.es1.configuration_masks())
-    masks2 = sorted(eng.es2.configuration_masks())
+    masks1 = eng.es1.configurations()
+    masks2 = eng.es2.configurations()
     total = len(masks1) * len(masks2)
     if total > eng.caps.max_positions:
         raise CapExceededError("positions", eng.caps.max_positions, total)
@@ -416,45 +408,48 @@ def verify_witness(
     es1: EventStructure,
     es2: EventStructure,
     kind: BisimulationKind,
-    members: Relation | Iterable,
+    members: Relation | Iterable[Key],
     *,
     strong_tau_erasure: bool = False,
 ) -> bool:
-    """Re-check that a claimed relation is closed under the kind's
-    transfer conditions (and hereditarily closed for hhp).  Malformed
-    elements raise MalformedWitnessError; a well-formed set that merely
-    fails closure returns False."""
+    """Re-check that a claimed relation, a Relation of es1 and es2 or keys
+    as the engines produce them, is closed under the kind's transfer
+    conditions (and hereditarily closed for hhp).  A malformed key, or a
+    Relation of another structure pair, raises MalformedWitnessError; a
+    well-formed set that merely fails closure returns False."""
     eng = Engine(es1, es2, kind, strong_tau_erasure)
     if isinstance(members, Relation):
-        members = members.sorted_members()
+        if members.es1 is not es1 or members.es2 is not es2:
+            raise MalformedWitnessError("relation belongs to a different structure pair")
+        members = members.keys
     keys: set[Key] = set()
-    for m in members:
-        if kind.posetal:
-            if not isinstance(m, Matching):
-                raise MalformedWitnessError(f"expected a matching, got {m!r}")
-            if m.es1 is not es1 or m.es2 is not es2:
-                raise MalformedWitnessError("matching belongs to a different structure pair")
-            if m.weak != eng.branching:
-                raise MalformedWitnessError(
-                    f"matching mode does not fit {kind}: expected "
-                    f"{'weak' if eng.branching else 'strong'}"
-                )
-            reason = m.invalid_reason()
-            if reason:
-                raise MalformedWitnessError(reason)
-            keys.add((m.mask1, m.pairs, m.mask2))
-            continue
-        try:
-            c1, c2 = m
-        except (TypeError, ValueError):
-            raise MalformedWitnessError(f"expected a configuration pair, got {m!r}") from None
-        if not isinstance(c1, Configuration) or not isinstance(c2, Configuration):
-            raise MalformedWitnessError(f"expected a configuration pair, got {m!r}")
-        if c1.owner is not es1 or c2.owner is not es2:
-            raise MalformedWitnessError("configuration pair belongs to a different structure pair")
-        if not es1.is_configuration_mask(c1.mask) or not es2.is_configuration_mask(c2.mask):
-            raise MalformedWitnessError(f"{c1} or {c2} is not a configuration")
-        keys.add((c1.mask, None, c2.mask))
+    for key in members:
+        reason = _key_fault(eng, key)
+        if reason:
+            raise MalformedWitnessError(f"{key!r}: {reason}")
+        keys.add(key)
     return all(_supported(eng, key, keys) for key in keys) and (
         kind.flavor is not Flavor.HHP or all(hereditary_ok(eng, key, keys) for key in keys)
     )
+
+
+def _key_fault(eng: Engine, key: object) -> str | None:
+    """None when key is a key of the engine's kind between configurations,
+    else a description of the violation."""
+    if not isinstance(key, tuple) or len(key) != 3:
+        return "not a (mask, pairs, mask) key"
+    m1, pairs, m2 = key
+    if not isinstance(m1, int) or not isinstance(m2, int):
+        return "masks must be ints"
+    if not eng.es1.is_configuration_mask(m1) or not eng.es2.is_configuration_mask(m2):
+        return "endpoints are not configurations"
+    if not eng.posetal:
+        return None if pairs is None else f"pairs must be None for {eng.kind}"
+    if not isinstance(pairs, tuple) or not all(
+        isinstance(p, tuple) and len(p) == 2 and all(isinstance(i, int) and i >= 0 for i in p)
+        for p in pairs
+    ):
+        return f"pairs must be a tuple of event index pairs for {eng.kind}"
+    if list(pairs) != sorted(pairs):
+        return "pairs are not sorted by first index"
+    return matching_fault(eng.es1, eng.es2, m1, pairs, m2, eng.branching)

@@ -9,17 +9,18 @@ reserved for silent events.
 Construction validates the declarations and closes causality and
 conflict into per-event bitmasks.  Events are indexed by declaration
 order; configurations and the event sets that transitions add are
-bitmasks over those indices, and the canonical order of configurations is
-ascending mask order.  The engines read every move through the mask-level
-methods (``enabled``, ``transition_masks``, ``tau_reachable_masks``,
-``terminates_mask``), which cache their answers per mask; ``format_mask``
-caches the event names of each mask as text.  A cache entry never
-changes once written, so instances are safe to share across threads.
+bitmasks over those indices, and ``configurations`` lists the former in
+ascending mask order, their canonical order.  The engines read every
+move through the mask-level methods (``enabled``, ``transition_masks``,
+``tau_reachable_masks``, ``terminates_mask``), which cache their answers
+per mask; ``format_mask`` caches the event names of each mask as text.
+A cache entry never changes once written, so instances are safe to share
+across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
@@ -185,6 +186,8 @@ class EventStructure:
         else:
             masks = set()
             for group in termination:
+                if isinstance(group, str):  # would be read as the set of its characters
+                    raise ValidationError(f"terminating set {group!r} is a string, not a set")
                 m = self.mask_of(group)
                 if not self.is_configuration_mask(m):
                     raise ValidationError(
@@ -193,7 +196,6 @@ class EventStructure:
                 masks.add(m)
             self._termination = TerminationPolicy("explicit", frozenset(masks))
 
-        self._configs: tuple[Configuration, ...] | None = None
         self._config_masks: frozenset[int] | None = None
         self._sorted_masks: tuple[int, ...] = ()
         self._enabled_cache: dict[int, tuple[int, ...]] = {}
@@ -312,9 +314,9 @@ class EventStructure:
             self._enabled_cache[mask] = cached
         return cached
 
-    def configurations(self) -> tuple[Configuration, ...]:
-        """All configurations, in ascending mask order."""
-        if self._configs is None:
+    def configurations(self) -> tuple[int, ...]:
+        """All configuration masks, ascending."""
+        if self._config_masks is None:
             masks = {0}
             stack = [0]
             limit = self.caps.max_configurations
@@ -329,22 +331,12 @@ class EventStructure:
                         stack.append(m2)
             self._config_masks = frozenset(masks)
             self._sorted_masks = tuple(sorted(masks))
-            self._configs = tuple(Configuration(self, m) for m in self._sorted_masks)
-        return self._configs
+        return self._sorted_masks
 
     def configuration_masks(self) -> frozenset[int]:
         self.configurations()
         assert self._config_masks is not None
         return self._config_masks
-
-    def empty_configuration(self) -> Configuration:
-        return Configuration(self, 0)
-
-    def configuration(self, events: Iterable[str]) -> Configuration:
-        mask = self.mask_of(events)
-        if not self.is_configuration_mask(mask):
-            raise ValidationError(f"{self.format_mask(mask)} is not a configuration of {self.name}")
-        return Configuration(self, mask)
 
     # ------------------------------------------------------------------
     # transitions
@@ -355,10 +347,9 @@ class EventStructure:
         key = (mask, step)
         cached = self._trans_cache.get(key)
         if cached is None:
-            self.configurations()
             out = []
             past = self._below
-            for target in self._sorted_masks:
+            for target in self.configurations():
                 if target != mask and target & mask == mask:
                     x = target & ~mask
                     # x is conflict-free, so a step needs no causality within it
@@ -401,24 +392,3 @@ class EventStructure:
     def __repr__(self) -> str:
         return f"EventStructure({self.name!r}, {self._n} events)"
 
-
-@dataclass(frozen=True)
-class Configuration:
-    """A conflict-free, downward-closed event set of one structure."""
-
-    owner: EventStructure = field(repr=False)
-    mask: int
-
-    @property
-    def events(self) -> tuple[str, ...]:
-        return self.owner.events_of_mask(self.mask)
-
-    @property
-    def visible_mask(self) -> int:
-        return self.mask & ~self.owner.silent_mask
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __str__(self) -> str:
-        return self.owner.format_mask(self.mask)

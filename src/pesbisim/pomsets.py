@@ -3,20 +3,21 @@
 A pomset here is an event subset of one structure, given as a bitmask,
 carrying the induced causal order and labels.  Two pomsets are isomorphic
 when a bijection preserves labels and order in both directions.  A
-Matching is such a bijection between two configurations, either over all
-events (strong) or over the visible events of each side (weak).  One
-backtracking search over label-respecting bijections, grown by
-``extends``, serves both the isomorphism test and the enumeration of
-matchings.  The engines do not call ``extends``: they extend matchings
-by enabled events only, where one causal-past mask comparison decides.
+matching is such a bijection between two configuration masks, either over
+all events (strong) or over the visible events of each side (weak), held
+as its (index in es1, index in es2) pairs sorted by first index: the
+middle of an engine key (mask1, pairs, mask2).  One backtracking search
+over label-respecting bijections, grown by ``extends``, serves both the
+isomorphism test and the enumeration of matchings.  The engines do not
+call ``extends``: they extend matchings by enabled events only, where one
+causal-past mask comparison decides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .pes import Configuration, EventStructure, bits
+from .pes import EventStructure, bits
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -82,70 +83,52 @@ def iso_masks(
     return next(_bijections(es1, idx1, es2, idx2), None) is not None
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A label- and order-preserving bijection between two configurations.
-
-    pairs holds (index in es1, index in es2) entries sorted by first
-    component.  A strong matching covers every event of both
-    configurations; a weak matching covers exactly the visible events,
-    with silent events tracked only through the configuration masks.
-    """
-
-    es1: EventStructure = field(repr=False)
-    es2: EventStructure = field(repr=False)
-    mask1: int
-    mask2: int
-    pairs: Pairs
-    weak: bool
-
-    def invalid_reason(self) -> str | None:
-        """None when well-formed, else a description of the violation."""
-        es1, es2 = self.es1, self.es2
-        if not es1.is_configuration_mask(self.mask1) or not es2.is_configuration_mask(self.mask2):
-            return "matching endpoints are not configurations"
-        dom = self.mask1 & ~es1.silent_mask if self.weak else self.mask1
-        cod = self.mask2 & ~es2.silent_mask if self.weak else self.mask2
-        seen1 = 0
-        seen2 = 0
-        for i, j in self.pairs:
-            if not dom >> i & 1 or not cod >> j & 1:
-                return "matched event outside the matched configurations"
-            if seen1 >> i & 1 or seen2 >> j & 1:
-                return "matching maps an event twice"
-            seen1 |= 1 << i
-            seen2 |= 1 << j
-            if es1.labels[i] != es2.labels[j]:
+def matching_fault(
+    es1: EventStructure, es2: EventStructure, mask1: int, pairs: Pairs, mask2: int, weak: bool
+) -> str | None:
+    """None when the pairs are a matching between the two configuration
+    masks, else a description of the violation.  A strong matching covers
+    every event of both configurations; a weak matching covers exactly the
+    visible events."""
+    if not es1.is_configuration_mask(mask1) or not es2.is_configuration_mask(mask2):
+        return "matching endpoints are not configurations"
+    dom = mask1 & ~es1.silent_mask if weak else mask1
+    cod = mask2 & ~es2.silent_mask if weak else mask2
+    seen1 = 0
+    seen2 = 0
+    for i, j in pairs:
+        if not dom >> i & 1 or not cod >> j & 1:
+            return "matched event outside the matched configurations"
+        if seen1 >> i & 1 or seen2 >> j & 1:
+            return "matching maps an event twice"
+        seen1 |= 1 << i
+        seen2 |= 1 << j
+        if es1.labels[i] != es2.labels[j]:
+            return (
+                f"label mismatch: {es1.events[i]} is "
+                f"{es1.labels[i]}, {es2.events[j]} is {es2.labels[j]}"
+            )
+    if seen1 != dom or seen2 != cod:
+        return "matching is not a bijection over the matched events"
+    past1, past2 = es1.past_masks, es2.past_masks
+    for a, b in pairs:
+        for c, d in pairs:
+            if (past1[c] >> a ^ past2[d] >> b) & 1:
                 return (
-                    f"label mismatch: {es1.events[i]} is "
-                    f"{es1.labels[i]}, {es2.events[j]} is {es2.labels[j]}"
+                    f"order violation: {es1.events[a]} before {es1.events[c]} "
+                    f"disagrees with {es2.events[b]} before {es2.events[d]}"
                 )
-        if seen1 != dom or seen2 != cod:
-            return "matching is not a bijection over the matched events"
-        past1, past2 = es1.past_masks, es2.past_masks
-        for a, b in self.pairs:
-            for c, d in self.pairs:
-                if (past1[c] >> a ^ past2[d] >> b) & 1:
-                    return (
-                        f"order violation: {es1.events[a]} before {es1.events[c]} "
-                        f"disagrees with {es2.events[b]} before {es2.events[d]}"
-                    )
-        return None
-
-    def __str__(self) -> str:
-        es1, es2 = self.es1, self.es2
-        inner = ",".join(f"{es1.events[i]}->{es2.events[j]}" for i, j in self.pairs)
-        return f"({es1.format_mask(self.mask1)},{{{inner}}},{es2.format_mask(self.mask2)})"
+    return None
 
 
-def enumerate_matchings(c1: Configuration, c2: Configuration, *, weak: bool) -> tuple[Matching, ...]:
-    """All matchings between two configurations, sorted by pair tuple."""
-    dom = bits(c1.visible_mask if weak else c1.mask)
-    cod = bits(c2.visible_mask if weak else c2.mask)
+def enumerate_matchings(
+    es1: EventStructure, mask1: int, es2: EventStructure, mask2: int, *, weak: bool
+) -> tuple[Pairs, ...]:
+    """The pairs of every matching between two configuration masks, each
+    sorted by first index, in ascending order; weak matchings cover the
+    visible events only."""
+    dom = bits(mask1 & ~es1.silent_mask if weak else mask1)
+    cod = bits(mask2 & ~es2.silent_mask if weak else mask2)
     if len(dom) != len(cod):
         return ()
-    es1, es2 = c1.owner, c2.owner
-    return tuple(
-        Matching(es1, es2, c1.mask, c2.mask, pairs, weak)
-        for pairs in sorted(_bijections(es1, dom, es2, cod))
-    )
+    return tuple(sorted(_bijections(es1, dom, es2, cod)))

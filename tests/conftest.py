@@ -223,7 +223,7 @@ def random_es(
         return es
     policy = rng.choice(("maximal", "none", "explicit"))
     if policy == "explicit":
-        policy = [c.events for c in es.configurations() if rng.random() < 0.4]
+        policy = [es.events_of_mask(m) for m in es.configurations() if rng.random() < 0.4]
     return EventStructure(name, events, causes, conflicts, policy)
 
 

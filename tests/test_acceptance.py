@@ -241,13 +241,14 @@ def test_criterion_6_strategy_soundness():
 
 
 def _candidate_universe(a, b, kind):
-    if kind.posetal:
-        out = []
-        for c1 in a.configurations():
-            for c2 in b.configurations():
-                out.extend(enumerate_matchings(c1, c2, weak=kind.branching))
-        return out
-    return [(c1, c2) for c1 in a.configurations() for c2 in b.configurations()]
+    return [
+        (m1, pairs, m2)
+        for m1 in a.configurations()
+        for m2 in b.configurations()
+        for pairs in (
+            enumerate_matchings(a, m1, b, m2, weak=kind.branching) if kind.posetal else (None,)
+        )
+    ]
 
 
 def test_criterion_7_witness_mutation():
@@ -272,9 +273,9 @@ def test_criterion_7_witness_mutation():
         if not verify_witness(a, b, kind, relation):
             failures.append(("rejected own witness", a.name, b.name, str(kind)))
             continue
-        members = set(relation.sorted_members())
+        members = set(relation.keys)
         outside = [x for x in _candidate_universe(a, b, kind) if x not in members]
-        victim = rng.choice(sorted(members, key=str))
+        victim = rng.choice(relation.sorted_keys())
         if outside:
             mutant = (members - {victim}) | {rng.choice(outside)}
             mutated += 1

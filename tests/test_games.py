@@ -307,10 +307,10 @@ def test_hhp_arena_covers_every_matching():
     triples = {
         _triple(p) for p in seeded.positions if p.challenge is None
     }
-    for c1 in c3.configurations():
-        for c2 in cn.configurations():
-            for m in enumerate_matchings(c1, c2, weak=False):
-                assert (m.mask1, m.pairs, m.mask2) in triples
+    for m1 in c3.configurations():
+        for m2 in cn.configurations():
+            for pairs in enumerate_matchings(c3, m1, cn, m2, weak=False):
+                assert (m1, pairs, m2) in triples
 
 
 # ----------------------------------------------------------------------

@@ -14,16 +14,16 @@ from pesbisim import (
     Caps,
     Flavor,
     MalformedWitnessError,
-    Matching,
     Mode,
     check,
+    enumerate_matchings,
     game_check,
     greatest_bisimulation,
     oracle,
     verify_witness,
 )
 from pesbisim.oracle import Engine, hereditary_ok, triple_universe
-from pesbisim.pes import Configuration, EventStructure, bits
+from pesbisim.pes import EventStructure, bits
 
 from conftest import (
     absorb2,
@@ -109,22 +109,22 @@ def test_inputs_separate_the_hierarchy(left, right, holds, fails, mode):
 def test_greatest_relation_on_empty_structures():
     a, b = p0(), p0()
     rel = greatest_bisimulation(a, b, POMSET_STRONG)
-    assert rel.sorted_members() == [(a.empty_configuration(), b.empty_configuration())]
+    assert rel.sorted_keys() == [(0, None, 0)]
 
 
 def test_greatest_relation_drops_unmatchable_pairs():
     a, b = par(), ch()
-    members = greatest_bisimulation(a, b, POMSET_STRONG).sorted_members()
-    assert (a.empty_configuration(), b.empty_configuration()) not in members
+    keys = greatest_bisimulation(a, b, POMSET_STRONG).keys
+    assert (0, None, 0) not in keys
     # the completed runs still pair up fine
-    assert (a.configuration(["a", "b"]), b.configuration(["a1", "b1"])) in members
+    assert (a.mask_of(["a", "b"]), None, b.mask_of(["a1", "b1"])) in keys
 
 
 def test_greatest_relation_posetal_contains_empty_matching():
     a, b = tau(), pa()
-    members = greatest_bisimulation(a, b, HP_BRANCHING).sorted_members()
-    assert all(isinstance(m, Matching) for m in members)
-    assert Matching(a, b, 0, 0, (), True) in members
+    keys = greatest_bisimulation(a, b, HP_BRANCHING).keys
+    assert all(isinstance(pairs, tuple) for _, pairs, _ in keys)
+    assert (0, (), 0) in keys
 
 
 def test_check_returns_witness_only_when_equivalent():
@@ -145,7 +145,7 @@ def test_verify_accepts_every_greatest_relation():
 
 def test_verify_rejects_unclosed_relation():
     a, b = seq(), seq()
-    only_empty = {(a.empty_configuration(), b.empty_configuration())}
+    only_empty = {(0, None, 0)}
     assert not verify_witness(a, b, POMSET_STRONG, only_empty)
 
 
@@ -156,54 +156,52 @@ def test_verify_accepts_empty_relation():
 
 
 def test_verify_rejects_malformed_members():
-    a, b = seq(), seq()
-    with pytest.raises(MalformedWitnessError):
-        verify_witness(a, b, POMSET_STRONG, [42])
-    foreign = seq()
-    with pytest.raises(MalformedWitnessError):
-        verify_witness(
-            a, b, POMSET_STRONG, [(foreign.empty_configuration(), b.empty_configuration())]
-        )
-    with pytest.raises(MalformedWitnessError):
+    a, b, p = seq(), seq(), par()
+    cases = [
+        (a, b, POMSET_STRONG, 42, r"not a \(mask, pairs, mask\) key"),
+        (a, b, POMSET_STRONG, (0, None), r"not a \(mask, pairs, mask\) key"),
+        (a, b, POMSET_STRONG, (0.0, None, 0), "masks must be ints"),
+        (a, b, POMSET_STRONG, (0, (), 0), "pairs must be None"),
         # mask 2 alone is b without its cause
-        verify_witness(a, b, POMSET_STRONG, [(Configuration(a, 2), b.empty_configuration())])
-    hp_strong = BisimulationKind(Flavor.HP, Mode.STRONG)
-    with pytest.raises(MalformedWitnessError):
-        verify_witness(a, b, hp_strong, [(a.empty_configuration(), b.empty_configuration())])
-    with pytest.raises(MalformedWitnessError):
-        verify_witness(a, b, hp_strong, [Matching(a, b, 0, 0, (), True)])  # weak flag
-    p = par()
-    with pytest.raises(MalformedWitnessError):
-        verify_witness(p, p, hp_strong, [Matching(p, p, 1, 2, ((0, 1),), False)])
+        (a, b, POMSET_STRONG, (2, None, 0), "not configurations"),
+        (a, b, HP_STRONG, (0, None, 0), "pairs must be a tuple"),
+        (a, b, HP_STRONG, (1, [(0, 0)], 1), "pairs must be a tuple"),
+        (a, b, HP_STRONG, (1, ((0,),), 1), "pairs must be a tuple"),
+        (a, b, HP_STRONG, (3, ((1, 1), (0, 0)), 3), "not sorted by first index"),
+        (p, p, HP_STRONG, (1, ((0, 1),), 2), "label mismatch"),
+    ]
+    for es1, es2, kind, key, reason in cases:
+        with pytest.raises(MalformedWitnessError, match=reason) as info:
+            verify_witness(es1, es2, kind, [key])
+        assert repr(key) in str(info.value)
+    foreign = greatest_bisimulation(seq(), b, POMSET_STRONG)
+    with pytest.raises(MalformedWitnessError, match="different structure pair"):
+        verify_witness(a, b, POMSET_STRONG, foreign)
 
 
 @pytest.mark.parametrize(
     "make, reason",
     [
         # mask 2 alone is b without its cause a
-        (lambda s, p, q: Matching(s, s, 2, 2, ((1, 1),), False), "not configurations"),
-        (lambda s, p, q: Matching(q, q, 3, 3, ((0, 0), (0, 1)), False), "maps an event twice"),
+        (lambda s, p, q: (s, s, (2, ((1, 1),), 2)), "not configurations"),
+        (lambda s, p, q: (q, q, (3, ((0, 0), (0, 1)), 3)), "maps an event twice"),
         # a before b in SEQ, a and b concurrent in PAR
-        (lambda s, p, q: Matching(s, p, 3, 3, ((0, 0), (1, 1)), False), "order violation"),
+        (lambda s, p, q: (s, p, (3, ((0, 0), (1, 1)), 3)), "order violation"),
     ],
     ids=["endpoints", "twice", "order"],
 )
 def test_verify_rejects_malformed_matchings(make, reason):
-    s, p, q = seq(), par(), antichain(2)
-    m = make(s, p, q)
+    es1, es2, key = make(seq(), par(), antichain(2))
     with pytest.raises(MalformedWitnessError, match=reason):
-        verify_witness(m.es1, m.es2, HP_STRONG, [m])
+        verify_witness(es1, es2, HP_STRONG, [key])
 
 
-def _members(a, b, kind, masks):
-    """The relation over the given (mask1, mask2) pairs, as the kind's
-    members: identity matchings for the posetal kinds."""
+def _members(kind, masks):
+    """The relation over the given (mask1, mask2) pairs, as keys of the
+    kind: identity matchings for the posetal kinds."""
     if kind.posetal:
-        return [
-            Matching(a, b, m1, m2, tuple((e, e) for e in bits(m1)), kind.branching)
-            for m1, m2 in masks
-        ]
-    return [(Configuration(a, m1), Configuration(b, m2)) for m1, m2 in masks]
+        return [(m1, tuple((e, e) for e in bits(m1)), m2) for m1, m2 in masks]
+    return [(m1, None, m2) for m1, m2 in masks]
 
 
 def test_verify_checks_both_sides():
@@ -212,21 +210,20 @@ def test_verify_checks_both_sides():
     for a, b in ((pa(), pa_noterm()), (pa_noterm(), pa())):
         for kind in BRANCHING_KINDS:
             # the a-moves match, but only one side terminates after them
-            assert not verify_witness(a, b, kind, _members(a, b, kind, [(0, 0), (1, 1)]))
+            assert not verify_witness(a, b, kind, _members(kind, [(0, 0), (1, 1)]))
     for a, b in ((p0(), pa()), (pa(), p0())):
         for kind in ALL_KINDS:
             # the a-move of PA has no answer
-            assert not verify_witness(a, b, kind, _members(a, b, kind, [(0, 0)]))
+            assert not verify_witness(a, b, kind, _members(kind, [(0, 0)]))
 
 
 def _triple_candidates(a, b, weak):
-    from pesbisim.pomsets import enumerate_matchings
-
-    out = []
-    for c1 in a.configurations():
-        for c2 in b.configurations():
-            out.extend(enumerate_matchings(c1, c2, weak=weak))
-    return out
+    return [
+        (m1, pairs, m2)
+        for m1 in a.configurations()
+        for m2 in b.configurations()
+        for pairs in enumerate_matchings(a, m1, b, m2, weak=weak)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -244,8 +241,7 @@ def test_universe_is_every_matching(pairs):
     matching of every configuration pair, once each, in key order."""
     for es1, es2 in pairs:
         for kind in (HP_STRONG, HP_BRANCHING):
-            matchings = _triple_candidates(es1, es2, kind.branching)
-            want = [(m.mask1, m.pairs, m.mask2) for m in matchings]
+            want = _triple_candidates(es1, es2, kind.branching)
             assert len(set(want)) == len(want)
             assert triple_universe(Engine(es1, es2, kind)) == sorted(want), (es1.name, es2.name)
 
@@ -280,15 +276,12 @@ def test_greatest_relation_is_maximal():
         a = random_es(rng, "A", max_events=4)
         b = random_es(rng, "B", max_events=4)
         for kind in kinds:
-            members = set(greatest_bisimulation(a, b, kind).sorted_members())
+            members = set(greatest_bisimulation(a, b, kind).keys)
             if kind.posetal:
                 universe = _triple_candidates(a, b, kind.branching)
             else:
-                universe = [
-                    (c1, c2)
-                    for c1 in a.configurations()
-                    for c2 in b.configurations()
-                ]
+                cfgs1, cfgs2 = a.configurations(), b.configurations()
+                universe = [(m1, None, m2) for m1 in cfgs1 for m2 in cfgs2]
             extras = [x for x in universe if x not in members]
             for extra in rng.sample(extras, min(3, len(extras))):
                 assert not verify_witness(a, b, kind, members | {extra})

@@ -120,8 +120,7 @@ def test_configurations_match_subset_filter():
 
 
 def test_configuration_order_is_ascending_masks():
-    cfgs = ch().configurations()
-    masks = [c.mask for c in cfgs]
+    masks = list(ch().configurations())
     assert masks == sorted(masks)
     assert masks[0] == 0
 
@@ -144,7 +143,7 @@ def test_ch_closed_conflict():
 
 def test_ch_configurations():
     es = ch()
-    got = {c.events for c in es.configurations()}
+    got = {es.events_of_mask(m) for m in es.configurations()}
     assert got == {(), ("a1",), ("b2",), ("a1", "b1"), ("b2", "a2")}
 
 
@@ -159,11 +158,11 @@ def test_seq_causality_closure():
 def test_par_everything_concurrent():
     es = par()
     assert es.concurrent("a", "b")
-    assert {c.events for c in es.configurations()} == {(), ("a",), ("b",), ("a", "b")}
+    assert {es.events_of_mask(m) for m in es.configurations()} == {(), ("a",), ("b",), ("a", "b")}
 
 
 def test_p0_single_configuration():
-    assert [c.mask for c in p0().configurations()] == [0]
+    assert p0().configurations() == (0,)
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +265,10 @@ def test_explicit_termination_must_be_configuration():
         EventStructure(
             "S", [("a", "a"), ("b", "b")], [("a", "b")], termination=[["b"]]
         )
+    # a string is not read as the set of its characters
+    for events in ([("a", "x"), ("b", "y")], [("ab", "z")]):
+        with pytest.raises(ValidationError, match="is a string"):
+            EventStructure("T", events, termination=["ab"])
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +311,7 @@ def test_twins_are_the_swaps_that_are_automorphisms():
     for trial in range(200):
         es = random_es(rng, "R", max_events=6, alphabet="ab", termination=True)
         names = es.events
-        masks = [c.mask for c in es.configurations()]
+        masks = es.configurations()
         for i, x in enumerate(names):
             for j, y in enumerate(names):
                 swap = {**{e: e for e in names}, x: y, y: x}
@@ -380,14 +383,6 @@ def test_configuration_cap():
     )
     with pytest.raises(CapExceededError):
         es.configurations()
-
-
-def test_configuration_rejects_non_configuration():
-    es = seq()
-    with pytest.raises(ValidationError):
-        es.configuration(["b"])
-    with pytest.raises(ValidationError):
-        es.configuration(["zz"])
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,9 @@ conflict a # b   # the operator '#' is not a comment here
     es = parse_pes(text)
     assert es.events == ("a", "b")
     assert es.in_conflict("a", "b")
+    # a Unicode line separator does not end the line, nor the comment on it
+    es = parse_pes("pes X\nevent a : a # note\u2028 stray words\n")
+    assert es.events == ("a",)
 
 
 def test_conflict_symbol_form():
@@ -122,6 +125,8 @@ def test_terminating_forms():
         ("pes 9bad\n", 1, 5, "invalid structure name"),
         ("pes X\nevent a : a\nevent a : b\n", 3, 7, "duplicate event 'a'"),
         ("pes X\nevent a : a\ncause a < b\n", 3, 11, "undeclared event 'b'"),
+        # a form feed is whitespace on its own line, not a line end
+        ("pes A\n\f\nevent a : a\ncause a < b\n", 4, 11, "undeclared event 'b'"),
         ("pes X\nevent a : a\nconflict a ! a\n", 3, 1, "expected 'conflict <id> # <id>'"),
         ("pes X\nterminating none\nterminating none\n", 3, 1, "duplicate 'terminating'"),
         ("pes X\nfrob a\n", 2, 1, "unknown statement 'frob'"),

@@ -10,10 +10,8 @@ import pytest
 
 from pesbisim import (
     BisimulationKind,
-    Configuration,
     EventStructure,
     Flavor,
-    Matching,
     MalformedWitnessError,
     Mode,
     SILENT_LABEL,
@@ -22,7 +20,7 @@ from pesbisim import (
 )
 from pesbisim.games import build_arena
 from pesbisim.oracle import Engine, hereditary_ok, triple_universe
-from pesbisim.pomsets import extends, iso_masks
+from pesbisim.pomsets import extends, iso_masks, matching_fault
 
 from conftest import ch, iso_after_erasure, pa, par, random_es, seq, tau, tau_par
 
@@ -64,9 +62,10 @@ def test_iso_matches_brute_force():
         cfgs2 = es2.configurations()
         c1 = rng.choice(cfgs1)
         c2 = rng.choice(cfgs2)
+        ev1, ev2 = es1.events_of_mask(c1), es2.events_of_mask(c2)
         for erase in (False, True):
-            expected = bool(brute_matchings(es1, c1.events, es2, c2.events, erase))
-            assert iso_after_erasure(es1, c1.mask, es2, c2.mask, erase) == expected
+            expected = bool(brute_matchings(es1, ev1, es2, ev2, erase))
+            assert iso_after_erasure(es1, c1, es2, c2, erase) == expected
 
 
 def test_iso_is_equivalence_on_samples():
@@ -74,7 +73,7 @@ def test_iso_is_equivalence_on_samples():
     pomsets = []
     for _ in range(12):
         es = random_es(rng, "E")
-        pomsets.append((es, rng.choice(es.configurations()).mask))
+        pomsets.append((es, rng.choice(es.configurations())))
 
     def iso(p, q):
         return iso_masks(*p, *q)
@@ -101,32 +100,27 @@ def test_silent_erasure_iso():
 
 def test_empty_configurations_have_one_matching():
     s = seq()
-    got = enumerate_matchings(s.empty_configuration(), s.empty_configuration(), weak=False)
-    assert len(got) == 1
-    assert got[0].pairs == ()
+    assert enumerate_matchings(s, 0, s, 0, weak=False) == ((),)
 
 
 def test_all_a_antichain_has_two_matchings():
     aa = EventStructure("AA", [("x", "a"), ("y", "a")])
-    got = enumerate_matchings(aa.configuration(["x", "y"]), aa.configuration(["x", "y"]), weak=False)
-    assert len(got) == 2
-    assert {m.pairs for m in got} == {((0, 0), (1, 1)), ((0, 1), (1, 0))}
+    got = enumerate_matchings(aa, aa.full_mask, aa, aa.full_mask, weak=False)
+    assert got == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
     # but PAR's a,b antichain admits exactly the label-respecting map
     p = par()
-    got = enumerate_matchings(p.configuration(["a", "b"]), p.configuration(["a", "b"]), weak=False)
-    assert len(got) == 1
+    assert len(enumerate_matchings(p, p.full_mask, p, p.full_mask, weak=False)) == 1
     # and no bijection maps the antichain onto a chain of two a events,
     # whichever way round the order is checked
     chain = EventStructure("AC", [("u", "a"), ("v", "a")], [("u", "v")])
-    full_aa, full_chain = aa.configuration(["x", "y"]), chain.configuration(["u", "v"])
-    assert enumerate_matchings(full_aa, full_chain, weak=False) == ()
-    assert enumerate_matchings(full_chain, full_aa, weak=False) == ()
+    assert enumerate_matchings(aa, aa.full_mask, chain, chain.full_mask, weak=False) == ()
+    assert enumerate_matchings(chain, chain.full_mask, aa, aa.full_mask, weak=False) == ()
 
 
 def test_label_mismatch_has_no_matchings():
     s = seq()
     b_only = EventStructure("B", [("b", "b")])
-    got = enumerate_matchings(s.configuration(["a"]), b_only.configuration(["b"]), weak=False)
+    got = enumerate_matchings(s, s.mask_of(["a"]), b_only, b_only.mask_of(["b"]), weak=False)
     assert got == ()
 
 
@@ -137,10 +131,11 @@ def test_enumerate_matches_iso():
         es2 = random_es(rng, "B")
         c1 = rng.choice(es1.configurations())
         c2 = rng.choice(es2.configurations())
+        ev1, ev2 = es1.events_of_mask(c1), es2.events_of_mask(c2)
         for weak in (False, True):
-            got = {m.pairs for m in enumerate_matchings(c1, c2, weak=weak)}
-            assert got == brute_matchings(es1, c1.events, es2, c2.events, weak)
-            assert bool(got) == iso_after_erasure(es1, c1.mask, es2, c2.mask, weak)
+            got = enumerate_matchings(es1, c1, es2, c2, weak=weak)
+            assert got == tuple(sorted(brute_matchings(es1, ev1, es2, ev2, weak)))
+            assert bool(got) == iso_after_erasure(es1, c1, es2, c2, weak)
 
 
 # ----------------------------------------------------------------------
@@ -235,20 +230,17 @@ def test_grow_silent_one_side():
 def test_invalid_reasons():
     s = seq()
     a = s.event_index("a")
-    good = Matching(s, s, 1 << a, 1 << a, ((a, a),), False)
-    assert good.invalid_reason() is None
-    not_bijective = Matching(s, s, good.mask1, good.mask2, (), False)
-    assert "bijection" in not_bijective.invalid_reason()
+    assert matching_fault(s, s, 1 << a, ((a, a),), 1 << a, False) is None
+    assert "bijection" in matching_fault(s, s, 1 << a, (), 1 << a, False)
     p = par()
-    mismatch = Matching(p, p, p.mask_of(["a"]), p.mask_of(["b"]), ((0, 1),), False)
-    assert "label mismatch" in mismatch.invalid_reason()
-    outside = Matching(s, s, 0, 0, ((0, 0),), False)
-    assert "outside" in outside.invalid_reason()
+    mismatch = (p.mask_of(["a"]), ((0, 1),), p.mask_of(["b"]))
+    assert "label mismatch" in matching_fault(p, p, *mismatch, False)
+    assert "outside" in matching_fault(s, s, 0, ((0, 0),), 0, False)
 
 
 def test_verify_witness_rejects_invalid_matching():
     p = par()
-    mismatch = Matching(p, p, p.mask_of(["a"]), p.mask_of(["b"]), ((0, 1),), False)
+    mismatch = (p.mask_of(["a"]), ((0, 1),), p.mask_of(["b"]))
     with pytest.raises(MalformedWitnessError, match="label mismatch"):
         verify_witness(p, p, HP_STRONG, [mismatch])
 
@@ -326,13 +318,11 @@ def test_extension_agrees_with_enumeration():
                             pair = (i, j) if side == 1 else (j, i)
                             n1, n2 = c1 | 1 << pair[0], c2 | 1 << pair[1]
                             extended = tuple(sorted(pairs + (pair,)))
-                            bigger = enumerate_matchings(
-                                Configuration(es1, n1), Configuration(es2, n2), weak=weak
-                            )
-                            grown = Matching(es1, es2, n1, n2, extended, weak)
+                            bigger = enumerate_matchings(es1, n1, es2, n2, weak=weak)
+                            fault = matching_fault(es1, es2, n1, extended, n2, weak)
                             accepted = extends(es1, es2, pairs, *pair)
-                            assert accepted == (grown.invalid_reason() is None)
-                            assert accepted == (extended in {x.pairs for x in bigger})
+                            assert accepted == (fault is None)
+                            assert accepted == (extended in bigger)
                             if accepted:
                                 expected.append((other | 1 << j, extended))
                                 grown_from_pairs += bool(pairs)
