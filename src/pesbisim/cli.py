@@ -67,6 +67,8 @@ def _load(path: str, caps: Caps) -> EventStructure:
         return parse_pes(text, caps)
     except ParseError as exc:
         raise ParseError(exc.line, exc.column, f"{path}: {exc.args[0].split(': ', 1)[-1]}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _serialize_witness(verdict: oracle.Verdict) -> list:
@@ -212,34 +214,32 @@ def cmd_play(args: argparse.Namespace) -> int:
     human = Role(args.human_role)
     machine = human.other()
     print(f"{kind} game on {es1.name} vs {es2.name}; you play {human.value}")
-    pos = arena.initial
+    keys, rules, succ = arena.keys, arena.rules, arena.succ
+    i = 0
     machine_rules: list[str] = []
-    while (turn := games.play_turn(gv, pos, human)).ending is None:
-        print(f"position {arena.describe(pos)}")
-        legal = turn.legal
-        mv = turn.machine_move
-        if mv is None:
-            for i, option in enumerate(legal):
-                print(f"  [{i}] {arena.describe_move(pos, option.rule, option.target)}")
-            choice = None
-            while choice is None:
+    while (turn := games.play_turn(gv, i, human)).ending is None:
+        print(f"position {arena.describe(keys[i])}")
+        options = [arena.describe_move(keys[i], r, keys[j]) for r, j in zip(rules[i], succ[i])]
+        k = turn.machine_move
+        if k is None:
+            for option, text in enumerate(options):
+                print(f"  [{option}] {text}")
+            while k is None:
                 print(f"{human.value} move> ", end="", flush=True)
                 line = sys.stdin.readline()
                 if not line:
                     print("\nend of input; aborting game", file=sys.stderr)
                     return 2
                 line = line.strip()
-                if line.isdecimal() and int(line) < len(legal):
-                    choice = int(line)
+                if line.isdecimal() and int(line) < turn.legal:
+                    k = int(line)
                 else:
-                    print(f"enter a move number between 0 and {len(legal) - 1}")
-            mv = legal[choice]
-            print(f"{human.value} plays [{choice}] {arena.describe_move(pos, mv.rule, mv.target)}")
+                    print(f"enter a move number between 0 and {turn.legal - 1}")
+            print(f"{human.value} plays [{k}] {options[k]}")
         else:
-            said = arena.describe_move(pos, mv.rule, mv.target)
-            print(f"{machine.value} plays {said}  [{mv.rule}]")
-            machine_rules.append(mv.rule)
-        pos = mv.target
+            print(f"{machine.value} plays {options[k]}  [{rules[i][k]}]")
+            machine_rules.append(rules[i][k])
+        i = succ[i][k]
     print(games.ENDINGS[turn.ending])
     if turn.winner is machine and machine_rules:
         print(f"machine strategy rationale: {' -> '.join(machine_rules)}")

@@ -25,10 +25,10 @@ with no Duplicator-won counterpart to Spoiler-won sinks, and sweeps
 again with the demoted positions preset, until no demotion fires.  A
 play reaching a demoted position ends there; ``play_turn`` decides, for
 ``replay`` and the interactive ``play`` command alike, when a play ends,
-who wins and what the machine plays.  The ``GamePosition`` and ``Move``
-objects that plays and strategies are told in are views of the keys and
-ids, built on first access; the DOT export and the rendered strategy
-read the keys and ids.
+who wins and what the machine plays: ``GameVerdict.canonical_move``,
+which the strategy takes too.  Plays and strategies are told in position
+ids and move indices; the ``GamePosition``, ``Challenge`` and ``Move``
+views exist for perfbench's tracer alone.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ class GamePosition(NamedTuple):
     pairs: Pairs | None
     challenge: Challenge | None
 
-    @property
-    def owner(self) -> Role:
-        return Role.SPOILER if self.challenge is None else Role.DUPLICATOR
-
 
 @dataclass(frozen=True)
 class Move:
@@ -97,9 +93,9 @@ class Arena:
     tuple (swapped, left, right, pairs, challenge) whose challenge is None
     or (kind, x_mask, target_mask).  succ[i] holds the ids of the targets
     of its moves and rules[i] the moves' rule names, in move order; the
-    builder, the solver, the DOT export and describe/describe_move work on
-    these alone.  The object views, positions (a GamePosition per id) and
-    moves (each position's Move tuple), are built on first access."""
+    package works on these alone.  The object views, positions (a
+    GamePosition per id) and moves (each position's Move tuple), are
+    built on first access for perfbench's tracer."""
 
     def __init__(
         self,
@@ -132,15 +128,11 @@ class Arena:
             for pos, rules, out in zip(positions, self.rules, self.succ)
         }
 
-    @property
-    def initial(self) -> GamePosition:
-        return self.positions[0]
-
     def sides(self, swapped: bool) -> tuple[EventStructure, EventStructure]:
         return (self.es2, self.es1) if swapped else (self.es1, self.es2)
 
     def describe(self, key: Key) -> str:
-        """The position with this key (or GamePosition) as text."""
+        """The position with this key as text."""
         sw, left, right, pairs, ch = key
         es_l, es_r = self.sides(sw)
         body = f"({es_l.format_mask(left)}, {es_r.format_mask(right)})"
@@ -157,7 +149,7 @@ class Arena:
         return f"<{body} ? X={es_l.format_mask(ch[1])}>"
 
     def describe_move(self, source: Key, rule: str, target: Key) -> str:
-        """The move by rule from source to target (keys or GamePositions) as text."""
+        """The move by rule from source to target (keys) as text."""
         sw, _, right, _, ch = source
         t_sw, _, t_right, _, t_ch = target
         es_l, es_r = self.sides(sw)
@@ -181,11 +173,9 @@ class Arena:
 class GameVerdict:
     """The solved game: win[i] is the winner of position i of the arena,
     and demoted_ids the positions demoted by hereditary pruning.  The
-    winner of the initial position decides, and the winner's canonical
-    strategy serves as the checkable evidence.  The object views, strategy
-    (the canonical move, lowest-index winning move, of each position won
-    by its owner and not demoted, in arena order) and demoted, are built
-    on first access."""
+    winner of position 0 decides, and its canonical strategy, read by
+    strategy_moves, is the checkable evidence.  The object view demoted
+    is built on first access for perfbench's tracer."""
 
     arena: Arena
     win: Sequence[Role]
@@ -199,44 +189,40 @@ class GameVerdict:
     def equivalent(self) -> bool:
         return self.winner is Role.DUPLICATOR
 
-    def strategy_ids(self) -> list[int]:
-        """Ids of the positions where the strategy picks a move, in arena
-        order: those won by their owner and not demoted."""
-        skip = set(self.demoted_ids)
-        spoiler = Role.SPOILER
-        return [
-            i
-            for i, (key, w) in enumerate(zip(self.arena.keys, self.win))
-            if (key[4] is None) == (w is spoiler) and i not in skip
-        ]
-
-    def _choices(self, ids: Iterable[int]) -> list[tuple[int, int]]:
-        """(id, index of the canonical move) for each of the position ids."""
-        succ, win = self.arena.succ, self.win
-        return [(i, next(k for k, j in enumerate(succ[i]) if win[j] is win[i])) for i in ids]
-
-    @cached_property
-    def strategy(self) -> dict[GamePosition, Move]:
-        positions, rules, succ = self.arena.positions, self.arena.rules, self.arena.succ
-        return {
-            positions[i]: Move(rules[i][k], positions[succ[i][k]])
-            for i, k in self._choices(self.strategy_ids())
-        }
-
     @cached_property
     def demoted(self) -> frozenset[GamePosition]:
         return frozenset(self.arena.positions[i] for i in self.demoted_ids)
 
-    def strategy_size(self) -> int:
-        """The number of the winner's chosen moves, len(strategy_moves()),
-        counted without searching for the moves."""
+    def canonical_move(self, i: int) -> int | None:
+        """The index of position i's first move to a position won by i's
+        winner: the owner's first winning move where it won i, else move 0.
+        None when i has no move; demoted positions end plays instead."""
         win = self.win
-        return sum(1 for i in self.strategy_ids() if win[i] is win[0])
+        w = win[i]
+        for k, j in enumerate(self.arena.succ[i]):
+            if win[j] is w:
+                return k
+        return None
+
+    def _strategy_ids(self) -> list[int]:
+        """Ids of the positions the winner owns and won, not demoted, in arena order."""
+        skip = set(self.demoted_ids)
+        winner = self.win[0]
+        challenged = winner is Role.DUPLICATOR
+        return [
+            i
+            for i, (key, w) in enumerate(zip(self.arena.keys, self.win))
+            if w is winner and (key[4] is not None) is challenged and i not in skip
+        ]
+
+    def strategy_size(self) -> int:
+        """len(strategy_moves()), counted without searching for the moves."""
+        return len(self._strategy_ids())
 
     def strategy_moves(self) -> list[tuple[int, int]]:
-        """The winner's chosen moves as (position id, move index), in arena order."""
-        win = self.win
-        return self._choices(i for i in self.strategy_ids() if win[i] is win[0])
+        """The winner's canonical moves as (position id, move index), in arena order."""
+        move = self.canonical_move
+        return [(i, move(i)) for i in self._strategy_ids()]
 
 
 _TERMINATION = ("termination", 0, 0)
@@ -415,53 +401,47 @@ ENDINGS = {
 class Turn:
     """What happens at one position of a play.  Either the play ends
     there (ending is a key of ENDINGS, winner the player who won), or its
-    owner picks one of the legal moves: machine_move is the machine's
-    pick, None when the owner is the external player."""
+    owner picks one of its legal moves, numbered from 0: machine_move is
+    the machine's pick, the canonical move, and None when the owner is the
+    external player."""
 
-    legal: tuple[Move, ...] = ()
-    machine_move: Move | None = None
+    legal: int = 0
+    machine_move: int | None = None
     ending: str | None = None
     winner: Role | None = None
 
 
-def play_turn(verdict: GameVerdict, pos: GamePosition, as_role: Role) -> Turn:
-    """The turn at pos in a play where the external player takes as_role
-    and the machine answers with its canonical strategy move where it wins
-    and its lowest-index move otherwise."""
-    if pos.challenge is None and pos in verdict.demoted:
+def play_turn(verdict: GameVerdict, i: int, as_role: Role) -> Turn:
+    """The turn at position i in a play where the external player takes
+    as_role and the machine takes the other role."""
+    if i in verdict.demoted_ids:
         return Turn(ending="hereditary-closure-violation", winner=Role.SPOILER)
-    legal = verdict.arena.moves[pos]
-    owner = pos.owner
+    legal = len(verdict.arena.succ[i])
+    owner = Role.SPOILER if verdict.arena.keys[i][4] is None else Role.DUPLICATOR
     if not legal:
-        ending = "spoiler-stuck" if owner is Role.SPOILER else "duplicator-stuck"
-        return Turn(ending=ending, winner=owner.other())
+        return Turn(ending=f"{owner.value}-stuck", winner=owner.other())
     if owner is as_role:
         return Turn(legal)
-    return Turn(legal, verdict.strategy.get(pos, legal[0]))
-
-
-@dataclass(frozen=True)
-class TranscriptStep:
-    position: GamePosition
-    actor: Role
-    move: Move
+    return Turn(legal, verdict.canonical_move(i))
 
 
 @dataclass(frozen=True)
 class Transcript:
-    """A finished play: the moves taken, the final position, the winner
-    and the rule that ended play (a key of ENDINGS)."""
+    """A finished play: the moves taken as (position id, actor, move
+    index), the final position's id, the winner and the rule that ended
+    play (a key of ENDINGS)."""
 
-    steps: tuple[TranscriptStep, ...]
-    final: GamePosition
+    steps: tuple[tuple[int, Role, int], ...]
+    final: int
     winner: Role
     ending: str
 
     def render(self, arena: Arena) -> str:
+        keys, rules, succ = arena.keys, arena.rules, arena.succ
         lines = [
-            f"{s.actor.value}: {arena.describe_move(s.position, s.move.rule, s.move.target)}"
-            f"  [{s.move.rule}]"
-            for s in self.steps
+            f"{actor.value}: {arena.describe_move(keys[i], rules[i][k], keys[succ[i][k]])}"
+            f"  [{rules[i][k]}]"
+            for i, actor, k in self.steps
         ]
         lines.append(ENDINGS[self.ending])
         return "\n".join(lines)
@@ -469,23 +449,22 @@ class Transcript:
 
 def replay(verdict: GameVerdict, as_role: Role, moves: Sequence[int]) -> Transcript:
     """Play the external player's numbered moves for one role against the
-    machine (see play_turn).  Raises IllegalMoveError on an out-of-range
-    index or when the move list runs out mid-play."""
+    machine (see play_turn), from position 0.  Raises IllegalMoveError on
+    an out-of-range index or when the move list runs out mid-play."""
     arena = verdict.arena
-    pos = arena.initial
-    steps: list[TranscriptStep] = []
+    i = 0
+    steps: list[tuple[int, Role, int]] = []
     supplied = iter(moves)
-    while (turn := play_turn(verdict, pos, as_role)).ending is None:
-        mv = turn.machine_move
-        if mv is None:
-            k = next(supplied, None)
+    while (turn := play_turn(verdict, i, as_role)).ending is None:
+        k, actor = turn.machine_move, as_role.other()
+        if k is None:
+            k, actor = next(supplied, None), as_role
             if k is None:
                 raise IllegalMoveError("move list exhausted before the play ended")
-            if not 0 <= k < len(turn.legal):
+            if not 0 <= k < turn.legal:
                 raise IllegalMoveError(
-                    f"no move {k} at {arena.describe(pos)}: {len(turn.legal)} moves available"
+                    f"no move {k} at {arena.describe(arena.keys[i])}: {turn.legal} moves available"
                 )
-            mv = turn.legal[k]
-        steps.append(TranscriptStep(pos, pos.owner, mv))
-        pos = mv.target
-    return Transcript(tuple(steps), pos, turn.winner, turn.ending)
+        steps.append((i, actor, k))
+        i = arena.succ[i][k]
+    return Transcript(tuple(steps), i, turn.winner, turn.ending)

@@ -160,6 +160,11 @@ def fixture_pairs() -> list[tuple[EventStructure, EventStructure]]:
         (choice3(), chain()),
         (ch(), ch()),
         (par(), par()),
+        # the hierarchy-separating pairs: step not pomset, pomset not hp,
+        # hp not hhp
+        (par_or_seq(), par()),
+        (par_seq_glued(), par_seq_apart()),
+        (absorb3(), absorb2()),
     ]
     return out
 

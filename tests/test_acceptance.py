@@ -174,45 +174,28 @@ def test_criterion_5_metamorphic():
     conclude(5, "reflexivity, symmetry and renaming invariance", failures)
 
 
-def _spoiler_strategy_always_wins(arena, solution) -> bool:
-    """Walk every Duplicator response against the canonical Spoiler
-    strategy; True when no play lets Duplicator escape."""
-    seen, stack = set(), [arena.initial]
+def _strategy_always_wins(verdict, role) -> bool:
+    """Walk every counterplay against role's canonical strategy, by
+    position id; True when every play ends in a win for role."""
+    arena = verdict.arena
+    demoted = set(verdict.demoted_ids)
+    seen, stack = set(), [0]
     while stack:
-        pos = stack.pop()
-        if pos in seen:
+        i = stack.pop()
+        if i in seen:
             continue
-        seen.add(pos)
-        if pos.challenge is None and pos in solution.demoted:
-            continue  # terminal Spoiler win
-        legal = arena.moves[pos]
-        if pos.owner is Role.SPOILER:
-            move = solution.strategy.get(pos)
-            if not legal or move is None:
-                return False
-            stack.append(move.target)
-        else:
-            stack.extend(m.target for m in legal)
-    return True
-
-
-def _duplicator_strategy_always_wins(arena, solution) -> bool:
-    seen, stack = set(), [arena.initial]
-    while stack:
-        pos = stack.pop()
-        if pos in seen:
-            continue
-        seen.add(pos)
-        if pos.challenge is None and pos in solution.demoted:
+        seen.add(i)
+        if i in demoted:  # terminal Spoiler win
+            if role is Role.SPOILER:
+                continue
             return False
-        legal = arena.moves[pos]
-        if pos.owner is Role.DUPLICATOR:
-            move = solution.strategy.get(pos)
-            if not legal or move is None:
+        legal = arena.succ[i]
+        if (arena.keys[i][4] is None) == (role is Role.SPOILER):
+            if not legal or verdict.win[i] is not role:
                 return False
-            stack.append(move.target)
+            stack.append(legal[verdict.canonical_move(i)])
         else:
-            stack.extend(m.target for m in legal)
+            stack.extend(legal)
     return True
 
 
@@ -226,16 +209,12 @@ def test_criterion_6_strategy_soundness():
     for idx, kind in rng.sample(inequivalent, 50):
         a, b = all_pairs()[idx]
         verdict = game_check(a, b, kind)
-        if verdict.equivalent or not _spoiler_strategy_always_wins(
-            verdict.arena, verdict
-        ):
+        if verdict.equivalent or not _strategy_always_wins(verdict, Role.SPOILER):
             failures.append(("spoiler", a.name, b.name, str(kind)))
     for idx, kind in rng.sample(equivalent, 50):
         a, b = all_pairs()[idx]
         verdict = game_check(a, b, kind)
-        if not verdict.equivalent or not _duplicator_strategy_always_wins(
-            verdict.arena, verdict
-        ):
+        if not verdict.equivalent or not _strategy_always_wins(verdict, Role.DUPLICATOR):
             failures.append(("duplicator", a.name, b.name, str(kind)))
     conclude(6, "extracted strategies win every counterplay", failures)
 

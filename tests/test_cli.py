@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 from pesbisim.cli import build_parser, main
-from pesbisim.games import GamePosition, Move
+from pesbisim.games import Challenge, GamePosition, Move, Role, game_check, replay
+from pesbisim.kinds import BisimulationKind, Flavor, Mode
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR
+from conftest import FIXTURE_DIR, GOLDEN_DIR, chain, choice3
 
 
 def fx(name: str) -> str:
@@ -100,6 +101,23 @@ def test_non_utf8_file_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith(f"error: cannot read {bad}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "--rel", "pomset", "--mode", "strong"],
+        ["play", "--rel", "pomset", "--mode", "strong", "--as", "spoiler"],
+        ["export", "--what", "arena", "--rel", "pomset", "--mode", "strong"],
+    ],
+    ids=["check", "play", "export"],
+)
+def test_validation_error_names_the_file(command, tmp_path, capsys):
+    cyclic = tmp_path / "cyclic.pes"
+    cyclic.write_text("pes C\nevent a : a\nevent b : b\ncause a < b\ncause b < a\n")
+    code, out, err = run_main(capsys, [*command, fx("pa.pes"), str(cyclic)])
+    assert code == 2 and out == ""
+    assert err == f"error: {cyclic}: causality cycle involving 'a' and 'b'\n"
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys):
@@ -241,27 +259,48 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert run_main(capsys, argv) == expected
 
 
+def _cli(argv: list[str], stdin: str = ""):
+    """A run of main on argv with stdin, as its outcome."""
+
+    def run(capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        return outcome(capsys, argv)
+
+    return run
+
+
+def _replay(capsys, monkeypatch):
+    verdict = game_check(choice3(), chain(), BisimulationKind(Flavor.HHP, Mode.STRONG))
+    t = replay(verdict, Role.DUPLICATOR, [0] * 5)
+    return t.steps, t.final, t.winner, t.render(verdict.arena)
+
+
 @pytest.mark.parametrize(
-    "argv, views",
+    "run",
     [
-        (["check", "--json", "--witness", "--engine", "game", "--rel", "pomset", "--mode",
-          "strong", fx("par.pes"), fx("ch.pes")], (GamePosition, Move)),
-        (["check", "--json", "--witness", "--engine", "game", "--rel", "hhp", "--mode",
-          "branching", fx("pa.pes"), fx("tau.pes")], (GamePosition, Move)),
-        (["export", "--what", "arena", "--rel", "hhp", "--mode", "strong",
-          fx("choice3.pes"), fx("chain.pes")], (GamePosition, Move)),
+        _cli(["check", "--json", "--witness", "--engine", "game", "--rel", "pomset", "--mode",
+              "strong", fx("par.pes"), fx("ch.pes")]),
+        _cli(["check", "--json", "--witness", "--engine", "game", "--rel", "hhp", "--mode",
+              "branching", fx("pa.pes"), fx("tau.pes")]),
+        _cli(["export", "--what", "arena", "--rel", "hhp", "--mode", "strong",
+              fx("choice3.pes"), fx("chain.pes")]),
+        _cli(["play", "--rel", "hhp", "--mode", "strong", "--as", "duplicator",
+              fx("choice3.pes"), fx("chain.pes")], "0\n" * 5),
+        _replay,
     ],
-    ids=["spoiler-strategy", "duplicator-strategy", "export-arena"],
+    ids=["spoiler-strategy", "duplicator-strategy", "export-arena", "play", "replay"],
 )
-def test_witness_builds_no_object_views(argv, views, capsys, monkeypatch):
-    expected = outcome(capsys, argv)
+def test_witness_builds_no_object_views(run, capsys, monkeypatch):
+    """Strategies, DOT export, plays and replays run on position keys and
+    ids: none of them builds a GamePosition, Challenge or Move."""
+    expected = run(capsys, monkeypatch)
 
     def no_view(self, *args, **kwargs):
         raise AssertionError(f"built a {type(self).__name__}")
 
-    for view in views:
+    for view in (GamePosition, Challenge, Move):
         monkeypatch.setattr(view, "__init__", no_view)
-    assert outcome(capsys, argv) == expected
+    assert run(capsys, monkeypatch) == expected
 
 
 def test_readme_json_report_is_what_the_cli_prints(capsys):

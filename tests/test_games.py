@@ -21,8 +21,6 @@ from pesbisim import (
 )
 from pesbisim.games import (
     Arena,
-    Challenge,
-    GamePosition,
     Role,
     build_arena,
     game_check,
@@ -56,23 +54,28 @@ POMSET_STRONG = BisimulationKind(Flavor.POMSET, Mode.STRONG)
 HHP_STRONG = BisimulationKind(Flavor.HHP, Mode.STRONG)
 
 
-def _triple(pos):
-    """The matching of a position as (first-structure mask, pairs,
+def _triple(key):
+    """The matching of a position key as (first-structure mask, pairs,
     second-structure mask), independent of orientation."""
-    return (pos.right, pos.pairs, pos.left) if pos.swapped else (pos.left, pos.pairs, pos.right)
+    sw, left, right, pairs, _ = key
+    return (right, pairs, left) if sw else (left, pairs, right)
+
+
+def _owner(key):
+    return Role.SPOILER if key[4] is None else Role.DUPLICATOR
 
 
 def test_empty_structures_give_trivial_arena():
     a = build_arena(p0(), p0(), POMSET_STRONG)
-    assert len(a.positions) == 1
-    assert a.moves[a.initial] == ()
+    assert len(a.keys) == 1
+    assert a.succ[0] == ()
     sol = solve(a)
     assert sol.win[0] is Role.DUPLICATOR
 
 
 def test_initial_challenges_cover_both_sides():
     a = build_arena(seq(), seq(), POMSET_STRONG)
-    rules = [m.rule for m in a.moves[a.initial]]
+    rules = list(a.rules[0])
     # two pomset extensions per side: a alone and the full a<b chain
     assert rules == [
         "spoiler-challenge-left",
@@ -86,12 +89,11 @@ def test_unanswerable_challenge_has_no_moves():
     pp, cc = par(), ch()
     a = build_arena(pp, cc, POMSET_STRONG)
     both = pp.mask_of(["a", "b"])
-    stuck = GamePosition(False, 0, 0, None, Challenge("transition", both, both))
-    assert stuck in a.moves
-    assert a.moves[stuck] == ()
+    stuck = a.keys.index((False, 0, 0, None, ("transition", both, both)))
+    assert a.succ[stuck] == ()
     sol = solve(a)
     assert sol.win[0] is Role.SPOILER
-    assert sol.strategy[a.initial].target == stuck
+    assert a.succ[0][sol.canonical_move(0)] == stuck
 
 
 def test_termination_challenges_only_in_branching_mode():
@@ -106,6 +108,9 @@ def test_termination_challenges_only_in_branching_mode():
 
 
 def test_arena_positions_alternate():
+    """The object views agree with the keys and ids they are built from
+    (perfbench's tracer is their only program reader), and the moves
+    alternate between the players."""
     rng = random.Random(41)
     for _ in range(10):
         es1 = random_es(rng, "A", max_events=4)
@@ -116,15 +121,15 @@ def test_arena_positions_alternate():
                 assert len(a.moves[pos]) == len(a.succ[i])
                 for k, mv in enumerate(a.moves[pos]):
                     assert mv.target == a.positions[a.succ[i][k]]
-                    if pos.owner is Role.SPOILER:
-                        assert mv.target.owner is Role.DUPLICATOR
+                    if _owner(pos) is Role.SPOILER:
+                        assert _owner(mv.target) is Role.DUPLICATOR
                         # a challenge never changes the matched configurations
                         assert (mv.target.left, mv.target.right) in {
                             (pos.left, pos.right),
                             (pos.right, pos.left),
                         }
                     else:
-                        assert mv.target.owner is Role.SPOILER
+                        assert _owner(mv.target) is Role.SPOILER
                         # an answer adds events, so the solver's sweep order holds
                         size = pos.left.bit_count() + pos.right.bit_count()
                         assert mv.target.left.bit_count() + mv.target.right.bit_count() > size
@@ -150,12 +155,17 @@ def test_game_agrees_with_fixpoint_on_random_pairs():
 def test_solve_assigns_every_position():
     a = build_arena(seq(), seq(), POMSET_STRONG)
     sol = solve(a)
-    assert len(sol.win) == len(a.positions) and None not in sol.win
-    winner = dict(zip(a.positions, sol.win))
-    for pos, mv in sol.strategy.items():
-        assert winner[pos] is pos.owner
-        assert mv in a.moves[pos]
-        assert winner[mv.target] is pos.owner
+    assert len(sol.win) == len(a.keys) and None not in sol.win
+    for i, key in enumerate(a.keys):
+        k, owner = sol.canonical_move(i), _owner(key)
+        if not a.succ[i]:
+            assert k is None
+        elif sol.win[i] is owner:
+            # the first move to a position the owner won
+            assert sol.win[a.succ[i][k]] is owner
+            assert all(sol.win[j] is not owner for j in a.succ[i][:k])
+        else:
+            assert k == 0
 
 
 def test_strategy_moves_belong_to_the_winner():
@@ -163,10 +173,12 @@ def test_strategy_moves_belong_to_the_winner():
     assert verdict.equivalent and verdict.winner is Role.DUPLICATOR
     chosen = verdict.strategy_moves()
     assert len(chosen) == verdict.strategy_size()
+    win, succ = verdict.win, verdict.arena.succ
     for i, k in chosen:
-        pos = verdict.arena.positions[i]
-        assert pos.owner is Role.DUPLICATOR
-        assert verdict.strategy[pos] == verdict.arena.moves[pos][k]
+        assert _owner(verdict.arena.keys[i]) is Role.DUPLICATOR
+        # the first move to a Duplicator-won position
+        assert win[succ[i][k]] is Role.DUPLICATOR
+        assert all(win[j] is Role.SPOILER for j in succ[i][:k])
 
 
 def test_replay_spoiler_stuck():
@@ -233,9 +245,9 @@ def test_hereditary_demotion_flips_the_winner():
     sol = solve_hereditary(a)
     assert plain.win[0] is Role.DUPLICATOR
     assert sol.win[0] is Role.SPOILER
-    assert sol.demoted
+    assert sol.demoted_ids
     for i in sol.demoted_ids:
-        assert a.positions[i].challenge is None
+        assert a.keys[i][4] is None
         assert plain.win[i] is Role.DUPLICATOR
         assert sol.win[i] is Role.SPOILER
 
@@ -268,23 +280,24 @@ def test_hhp_demotion_characterization(mode):
 def _duplicator_picks_to_demoted(arena, verdict):
     """Duplicator move indices that walk the machine's Spoiler strategy
     into a demoted position, if any play does."""
+    demoted = set(verdict.demoted_ids)
     seen = set()
-    queue = deque([(arena.initial, ())])
+    queue = deque([(0, ())])
     while queue:
-        pos, picks = queue.popleft()
-        if pos in seen:
+        i, picks = queue.popleft()
+        if i in seen:
             continue
-        seen.add(pos)
-        if pos.challenge is None and pos in verdict.demoted:
+        seen.add(i)
+        if i in demoted:
             return picks
-        legal = arena.moves[pos]
+        legal = arena.succ[i]
         if not legal:
             continue
-        if pos.owner is Role.SPOILER:
-            queue.append((verdict.strategy.get(pos, legal[0]).target, picks))
+        if _owner(arena.keys[i]) is Role.SPOILER:
+            queue.append((legal[verdict.canonical_move(i)], picks))
         else:
-            for k, mv in enumerate(legal):
-                queue.append((mv.target, picks + (k,)))
+            for k, j in enumerate(legal):
+                queue.append((j, picks + (k,)))
     return None
 
 
@@ -304,9 +317,7 @@ def test_hhp_arena_covers_every_matching():
 
     c3, cn = choice3(), chain()
     seeded = build_arena(c3, cn, HHP_STRONG)
-    triples = {
-        _triple(p) for p in seeded.positions if p.challenge is None
-    }
+    triples = {_triple(key) for key in seeded.keys if key[4] is None}
     for m1 in c3.configurations():
         for m2 in cn.configurations():
             for pairs in enumerate_matchings(c3, m1, cn, m2, weak=False):
@@ -319,17 +330,20 @@ def test_hhp_arena_covers_every_matching():
 
 
 def _reference_induct(arena, demoted):
-    deps = {p: {m.target for m in arena.moves[p]} for p in arena.positions}
+    """(winner, strategy) by position id: the strategy maps each position
+    won by its owner, not demoted, to its first move to an owner-won
+    position."""
+    deps = {i: set(out) for i, out in enumerate(arena.succ)}
     winner, strategy = {}, {}
-    for pos in TopologicalSorter(deps).static_order():
-        if pos in demoted:
-            winner[pos] = Role.SPOILER
+    for i in TopologicalSorter(deps).static_order():
+        if i in demoted:
+            winner[i] = Role.SPOILER
             continue
-        owner = pos.owner
-        won = [m for m in arena.moves[pos] if winner[m.target] is owner]
-        winner[pos] = owner if won else owner.other()
+        owner = _owner(arena.keys[i])
+        won = [k for k, j in enumerate(arena.succ[i]) if winner[j] is owner]
+        winner[i] = owner if won else owner.other()
         if won:
-            strategy[pos] = won[0]
+            strategy[i] = won[0]
     return winner, strategy
 
 
@@ -340,11 +354,11 @@ def _reference_solve(arena):
     if arena.kind.flavor is not Flavor.HHP:
         return winner, strategy, demoted
     eng = Engine(arena.es1, arena.es2, arena.kind, arena.strong_tau_erasure)
-    spoiler_positions = [p for p in arena.positions if p.challenge is None]
+    spoiler_positions = [i for i, key in enumerate(arena.keys) if key[4] is None]
     while True:
-        won = [p for p in spoiler_positions if winner[p] is Role.DUPLICATOR]
-        alive = {_triple(p) for p in won}
-        newly = [p for p in won if not hereditary_ok(eng, _triple(p), alive)]
+        won = [i for i in spoiler_positions if winner[i] is Role.DUPLICATOR]
+        alive = {_triple(arena.keys[i]) for i in won}
+        newly = [i for i in won if not hereditary_ok(eng, _triple(arena.keys[i]), alive)]
         if not newly:
             return winner, strategy, demoted
         demoted = demoted | frozenset(newly)
@@ -368,6 +382,14 @@ def test_solver_matches_reference(pairs):
         for kind in ALL_KINDS:
             verdict = game_check(es1, es2, kind)
             winner, strategy, demoted = _reference_solve(verdict.arena)
-            assert list(verdict.win) == [winner[pos] for pos in verdict.arena.positions]
-            assert verdict.strategy == strategy
-            assert verdict.demoted == demoted
+            keys = verdict.arena.keys
+            assert list(verdict.win) == [winner[i] for i in range(len(keys))]
+            assert set(verdict.demoted_ids) == demoted
+            assert {
+                i: verdict.canonical_move(i)
+                for i, key in enumerate(keys)
+                if i not in demoted and winner[i] is _owner(key)
+            } == strategy
+            assert verdict.strategy_moves() == [
+                (i, k) for i, k in sorted(strategy.items()) if winner[i] is winner[0]
+            ]

@@ -88,3 +88,49 @@ def test_no_unused_private_definitions(path):
         if node.name not in used:
             unused.append(node.name)
     assert unused == [], f"{path.name} defines {unused} without using them"
+
+
+# The game's object views: types, and the members that build them for
+# perfbench's tracer, their only program reader.
+VIEW_TYPES = {"GamePosition", "Challenge", "Move"}
+VIEW_BUILDERS = {"positions", "moves", "demoted"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_object_views_stay_in_their_builders():
+    """Plays, strategies and exports run on position keys and ids: no
+    module but games.py names a view type (the package's exports
+    excepted), and games.py builds one only in the view members."""
+    naming = {
+        path.name: sorted(_names(ast.parse(path.read_text(encoding="utf-8"))) & VIEW_TYPES)
+        for path in MODULES
+        if path.name not in ("__init__.py", "games.py")
+    }
+    assert {name: views for name, views in naming.items() if views} == {}
+    tree = ast.parse((SRC / "games.py").read_text(encoding="utf-8"))
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in VIEW_BUILDERS
+        for node in ast.walk(fn)
+    }
+    builds = [
+        (node.func.id, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in VIEW_TYPES
+        and id(node) not in allowed
+    ]
+    assert builds == [], f"games.py builds object views outside {sorted(VIEW_BUILDERS)}"

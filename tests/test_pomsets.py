@@ -199,32 +199,30 @@ def test_extend_precondition_breach():
     assert eng.es[1].enabled(s.full_mask) == ()
 
 
-def _move(arena, pos, rule):
-    """The first move of the given rule at pos."""
-    return next(mv for mv in arena.moves[pos] if mv.rule == rule)
+def _move(arena, i, rule):
+    """The target id of position i's first move of the given rule."""
+    return next(j for r, j in zip(arena.rules[i], arena.succ[i]) if r == rule)
 
 
 def test_weak_extension_with_silent_event_keeps_pairs():
     t1, t2 = tau(), tau()
     arena = build_arena(t1, t2, HP_BRANCHING)
     t = t1.mask_of(["t"])
-    challenge = _move(arena, arena.initial, "spoiler-challenge-left").target
-    assert challenge.challenge.x_mask == t
-    answer = _move(arena, challenge, "duplicator-match").target
-    assert (answer.left, answer.pairs, answer.right) == (t, (), t)
+    challenge = _move(arena, 0, "spoiler-challenge-left")
+    assert arena.keys[challenge][4][1] == t
+    _, left, right, pairs, _ = arena.keys[_move(arena, challenge, "duplicator-match")]
+    assert (left, pairs, right) == (t, (), t)
 
 
 def test_grow_silent_one_side():
     t1, t2 = tau(), tau_par()
     arena = build_arena(t1, t2, HP_BRANCHING)
-    challenge = _move(arena, arena.initial, "spoiler-challenge-left").target
-    step = _move(arena, challenge, "duplicator-tau-step").target
-    assert (step.left, step.pairs, step.right) == (0, (), t2.mask_of(["t"]))
+    challenge = _move(arena, 0, "spoiler-challenge-left")
+    _, left, right, pairs, _ = arena.keys[_move(arena, challenge, "duplicator-tau-step")]
+    assert (left, pairs, right) == (0, (), t2.mask_of(["t"]))
     # strong matchings never grow one side alone
     strong = build_arena(t1, t2, HP_STRONG)
-    assert all(
-        mv.rule != "duplicator-tau-step" for moves in strong.moves.values() for mv in moves
-    )
+    assert all("duplicator-tau-step" not in rules for rules in strong.rules)
 
 
 def test_invalid_reasons():
