@@ -16,10 +16,7 @@ from .errors import (
 )
 from .games import (
     Arena,
-    Challenge,
-    GamePosition,
     GameVerdict,
-    Move,
     Role,
     Transcript,
     build_arena,
@@ -48,15 +45,12 @@ __all__ = [
     "BisimulationKind",
     "CapExceededError",
     "Caps",
-    "Challenge",
     "EventStructure",
     "Flavor",
-    "GamePosition",
     "GameVerdict",
     "IllegalMoveError",
     "MalformedWitnessError",
     "Mode",
-    "Move",
     "ParseError",
     "PesBisimError",
     "PesDocument",

@@ -7,6 +7,7 @@ Exit codes: 0 equivalent, 1 inequivalent, 2 usage/parse/validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -59,7 +60,7 @@ def _add_common(parser: argparse.ArgumentParser, *, required: bool) -> None:
 
 def _load(path: str, caps: Caps) -> EventStructure:
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
@@ -174,11 +175,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "right": es2.name,
             "equivalent": equivalent,
             "witness_summary": summary,
-            "caps": {
-                "max_events": caps.max_events,
-                "max_configurations": caps.max_configurations,
-                "max_positions": caps.max_positions,
-            },
+            "caps": dataclasses.asdict(caps),
             "elapsed_ms": round(elapsed_ms, 3),
         }
         if agreement is not None:

@@ -33,11 +33,10 @@ def arena_dot(verdict: GameVerdict) -> str:
     diamonds) coloured by winner, moves as rule-labelled edges."""
     arena = verdict.arena
     lines = [f"digraph {_quote(arena.es1.name + '_vs_' + arena.es2.name)} {{"]
-    demoted = set(verdict.demoted_ids)
     for i, (key, w) in enumerate(zip(arena.keys, verdict.win)):
         shape = "box" if key[4] is None else "diamond"
         color = "palegreen" if w is Role.DUPLICATOR else "lightcoral"
-        extra = " peripheries=2" if i in demoted else ""
+        extra = " peripheries=2" if i in verdict.demoted_ids else ""
         lines.append(
             f"  n{i} [label={_quote(arena.describe(key))} shape={shape} "
             f"style=filled fillcolor={color}{extra}];"

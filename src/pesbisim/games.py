@@ -26,17 +26,16 @@ again with the demoted positions preset, until no demotion fires.  A
 play reaching a demoted position ends there; ``play_turn`` decides, for
 ``replay`` and the interactive ``play`` command alike, when a play ends,
 who wins and what the machine plays: ``GameVerdict.canonical_move``,
-which the strategy takes too.  Plays and strategies are told in position
-ids and move indices; the ``GamePosition``, ``Challenge`` and ``Move``
-views exist for perfbench's tracer alone.
+which the strategy takes too.  Positions are keys, plays and strategies
+are told in position ids and move indices, and no object form of either
+exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArenaCycleError, CapExceededError, IllegalMoveError, ValidationError
 from .kinds import BisimulationKind, Flavor
@@ -45,7 +44,12 @@ from .pes import EventStructure
 from .pomsets import Pairs
 
 
-Key = tuple  # a position as the fields of GamePosition; see Arena
+Key = tuple[bool, int, int, Pairs | None, tuple[str, int, int] | None]
+"""A position as (swapped, left, right, pairs, challenge): configuration
+masks left and right, swapped when left is the second structure's, the
+sorted (first, second) index pairs of the matching for hp/hhp or None,
+and challenge None on Spoiler's turns, else ("transition", added events,
+left target) or ("termination", 0, 0) on Duplicator's."""
 
 
 class Role(Enum):
@@ -56,46 +60,13 @@ class Role(Enum):
         return Role.DUPLICATOR if self is Role.SPOILER else Role.SPOILER
 
 
-class Challenge(NamedTuple):
-    """A pending obligation: either a challenged transition of the left
-    side (added events plus resulting configuration) or a termination
-    claim."""
-
-    kind: str  # "transition" | "termination"
-    x_mask: int = 0
-    target_mask: int = 0
-
-
-class GamePosition(NamedTuple):
-    """A position's key (see Arena) with named fields.  left/right are
-    configuration masks; swapped records whether left belongs to the second
-    structure.  pairs is the normalized matching (first-structure index,
-    second-structure index) for hp/hhp, None otherwise.  Spoiler owns
-    positions without a challenge."""
-
-    swapped: bool
-    left: int
-    right: int
-    pairs: Pairs | None
-    challenge: Challenge | None
-
-
-@dataclass(frozen=True)
-class Move:
-    rule: str
-    target: GamePosition
-
-
 class Arena:
     """All positions reachable from the initial one, with their moves.
 
-    Position i, numbered in insertion order from 0, is keys[i], a plain
-    tuple (swapped, left, right, pairs, challenge) whose challenge is None
-    or (kind, x_mask, target_mask).  succ[i] holds the ids of the targets
-    of its moves and rules[i] the moves' rule names, in move order; the
-    package works on these alone.  The object views, positions (a
-    GamePosition per id) and moves (each position's Move tuple), are
-    built on first access for perfbench's tracer."""
+    Position i, numbered in insertion order from 0, has the Key keys[i].
+    succ[i] holds the ids of the targets of its moves and rules[i] the
+    moves' rule names, in move order.  positions and moves alias keys and
+    succ for perfbench's tracer."""
 
     def __init__(
         self,
@@ -113,20 +84,15 @@ class Arena:
         self.rules = rules
         self.succ = succ
 
-    @cached_property
-    def positions(self) -> tuple[GamePosition, ...]:
-        return tuple(
-            GamePosition(sw, left, right, pairs, ch if ch is None else Challenge(*ch))
-            for sw, left, right, pairs, ch in self.keys
-        )
+    @property
+    def positions(self) -> Sequence[Key]:
+        # perfbench's tracer is the only reader
+        return self.keys
 
-    @cached_property
-    def moves(self) -> dict[GamePosition, tuple[Move, ...]]:
-        positions = self.positions
-        return {
-            pos: tuple(Move(rule, positions[j]) for rule, j in zip(rules, out))
-            for pos, rules, out in zip(positions, self.rules, self.succ)
-        }
+    @property
+    def moves(self) -> dict[int, Sequence[int]]:
+        # perfbench's tracer is the only reader
+        return dict(enumerate(self.succ))
 
     def sides(self, swapped: bool) -> tuple[EventStructure, EventStructure]:
         return (self.es2, self.es1) if swapped else (self.es1, self.es2)
@@ -172,14 +138,14 @@ class Arena:
 @dataclass
 class GameVerdict:
     """The solved game: win[i] is the winner of position i of the arena,
-    and demoted_ids the positions demoted by hereditary pruning.  The
-    winner of position 0 decides, and its canonical strategy, read by
-    strategy_moves, is the checkable evidence.  The object view demoted
-    is built on first access for perfbench's tracer."""
+    and demoted_ids the set of positions demoted by hereditary pruning.
+    The winner of position 0 decides, and its canonical strategy, read by
+    strategy_moves, is the checkable evidence.  demoted aliases
+    demoted_ids for perfbench's tracer."""
 
     arena: Arena
     win: Sequence[Role]
-    demoted_ids: Sequence[int] = ()
+    demoted_ids: frozenset[int] = frozenset()
 
     @property
     def winner(self) -> Role:
@@ -189,9 +155,10 @@ class GameVerdict:
     def equivalent(self) -> bool:
         return self.winner is Role.DUPLICATOR
 
-    @cached_property
-    def demoted(self) -> frozenset[GamePosition]:
-        return frozenset(self.arena.positions[i] for i in self.demoted_ids)
+    @property
+    def demoted(self) -> frozenset[int]:
+        # perfbench's tracer is the only reader
+        return self.demoted_ids
 
     def canonical_move(self, i: int) -> int | None:
         """The index of position i's first move to a position won by i's
@@ -206,7 +173,7 @@ class GameVerdict:
 
     def _strategy_ids(self) -> list[int]:
         """Ids of the positions the winner owns and won, not demoted, in arena order."""
-        skip = set(self.demoted_ids)
+        skip = self.demoted_ids
         winner = self.win[0]
         challenged = winner is Role.DUPLICATOR
         return [
@@ -373,7 +340,7 @@ def solve_hereditary(arena: Arena) -> GameVerdict:
         # both orientations of a matching share its triple: check it once
         broken = {t for t in alive if not hereditary_ok(eng, t, alive)}
         if not broken:
-            return GameVerdict(arena, win, demoted)
+            return GameVerdict(arena, win, frozenset(demoted))
         demoted += [i for i in won if triples[i] in broken]
 
 

@@ -14,6 +14,7 @@ The first statement must be ``pes``.  Events must be declared before they
 are referenced; at most one ``terminating`` statement is allowed, and the
 policy defaults to ``maximal``.  The label ``tau`` marks silent events.
 Lines end at LF, CRLF or CR only; other line breaks are whitespace.
+One leading byte-order mark (U+FEFF) is ignored; one anywhere else is not.
 A ``#`` at the start of a line or after whitespace begins a comment, also
 inside the sets of ``terminating``, with one exception: the operator slot
 of a ``conflict`` statement.  Nothing but the sets may follow
@@ -131,6 +132,7 @@ def parse_document(text: str) -> PesDocument:
             raise ParseError(lineno, col, f"undeclared event {tok!r}")
         return tok
 
+    text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         tokens = _tokenize(raw)
         if not tokens:

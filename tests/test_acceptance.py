@@ -13,7 +13,7 @@ them on success):
    strong => branching per flavor on maximal-termination structures
 5. metamorphic invariances: reflexivity, symmetry, event renaming
 6. exhaustive strategy soundness on 50 inequivalent and 50 equivalent
-   sampled combinations
+   decisions sampled from the random corpus, and on every fixture decision
 7. witness re-verification and mutation sensitivity
 8. command line contract: exit codes, JSON schema, golden DOT output
 """
@@ -178,14 +178,13 @@ def _strategy_always_wins(verdict, role) -> bool:
     """Walk every counterplay against role's canonical strategy, by
     position id; True when every play ends in a win for role."""
     arena = verdict.arena
-    demoted = set(verdict.demoted_ids)
     seen, stack = set(), [0]
     while stack:
         i = stack.pop()
         if i in seen:
             continue
         seen.add(i)
-        if i in demoted:  # terminal Spoiler win
+        if i in verdict.demoted_ids:  # terminal Spoiler win
             if role is Role.SPOILER:
                 continue
             return False
@@ -200,22 +199,24 @@ def _strategy_always_wins(verdict, role) -> bool:
 
 
 def test_criterion_6_strategy_soundness():
+    """50 inequivalent and 50 equivalent decisions drawn from the random
+    corpus alone, so adding a fixture pair leaves the sample as it is,
+    and every decision of every fixture pair."""
     verdicts, _ = engine_verdicts()
-    inequivalent = [(i, k) for (i, k), (_, g) in verdicts.items() if not g]
-    equivalent = [(i, k) for (i, k), (_, g) in verdicts.items() if g]
+    drawn = len(corpus())
+    inequivalent = [(i, k) for (i, k), (_, g) in verdicts.items() if i < drawn and not g]
+    equivalent = [(i, k) for (i, k), (_, g) in verdicts.items() if i < drawn and g]
     assert len(inequivalent) >= 50 and len(equivalent) >= 50
     rng = random.Random(7701)
+    decisions = rng.sample(inequivalent, 50) + rng.sample(equivalent, 50)
+    decisions += [(i, k) for i, k in verdicts if i >= drawn]
     failures = []
-    for idx, kind in rng.sample(inequivalent, 50):
+    for idx, kind in decisions:
         a, b = all_pairs()[idx]
         verdict = game_check(a, b, kind)
-        if verdict.equivalent or not _strategy_always_wins(verdict, Role.SPOILER):
-            failures.append(("spoiler", a.name, b.name, str(kind)))
-    for idx, kind in rng.sample(equivalent, 50):
-        a, b = all_pairs()[idx]
-        verdict = game_check(a, b, kind)
-        if not verdict.equivalent or not _strategy_always_wins(verdict, Role.DUPLICATOR):
-            failures.append(("duplicator", a.name, b.name, str(kind)))
+        sound = _strategy_always_wins(verdict, verdict.winner)
+        if verdict.equivalent != verdicts[idx, kind][1] or not sound:
+            failures.append((verdict.winner.value, a.name, b.name, str(kind)))
     conclude(6, "extracted strategies win every counterplay", failures)
 
 

@@ -14,10 +14,8 @@ from pathlib import Path
 import pytest
 
 from pesbisim.cli import build_parser, main
-from pesbisim.games import Challenge, GamePosition, Move, Role, game_check, replay
-from pesbisim.kinds import BisimulationKind, Flavor, Mode
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR, chain, choice3
+from conftest import FIXTURE_DIR, GOLDEN_DIR
 
 
 def fx(name: str) -> str:
@@ -257,50 +255,6 @@ def test_parser_is_built_once(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
     assert run_main(capsys, argv) == expected
-
-
-def _cli(argv: list[str], stdin: str = ""):
-    """A run of main on argv with stdin, as its outcome."""
-
-    def run(capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-        return outcome(capsys, argv)
-
-    return run
-
-
-def _replay(capsys, monkeypatch):
-    verdict = game_check(choice3(), chain(), BisimulationKind(Flavor.HHP, Mode.STRONG))
-    t = replay(verdict, Role.DUPLICATOR, [0] * 5)
-    return t.steps, t.final, t.winner, t.render(verdict.arena)
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        _cli(["check", "--json", "--witness", "--engine", "game", "--rel", "pomset", "--mode",
-              "strong", fx("par.pes"), fx("ch.pes")]),
-        _cli(["check", "--json", "--witness", "--engine", "game", "--rel", "hhp", "--mode",
-              "branching", fx("pa.pes"), fx("tau.pes")]),
-        _cli(["export", "--what", "arena", "--rel", "hhp", "--mode", "strong",
-              fx("choice3.pes"), fx("chain.pes")]),
-        _cli(["play", "--rel", "hhp", "--mode", "strong", "--as", "duplicator",
-              fx("choice3.pes"), fx("chain.pes")], "0\n" * 5),
-        _replay,
-    ],
-    ids=["spoiler-strategy", "duplicator-strategy", "export-arena", "play", "replay"],
-)
-def test_witness_builds_no_object_views(run, capsys, monkeypatch):
-    """Strategies, DOT export, plays and replays run on position keys and
-    ids: none of them builds a GamePosition, Challenge or Move."""
-    expected = run(capsys, monkeypatch)
-
-    def no_view(self, *args, **kwargs):
-        raise AssertionError(f"built a {type(self).__name__}")
-
-    for view in (GamePosition, Challenge, Move):
-        monkeypatch.setattr(view, "__init__", no_view)
-    assert run(capsys, monkeypatch) == expected
 
 
 def test_readme_json_report_is_what_the_cli_prints(capsys):

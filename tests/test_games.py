@@ -108,37 +108,35 @@ def test_termination_challenges_only_in_branching_mode():
 
 
 def test_arena_positions_alternate():
-    """The object views agree with the keys and ids they are built from
-    (perfbench's tracer is their only program reader), and the moves
-    alternate between the players."""
+    """The moves alternate between the players, a challenge keeps the
+    matched configurations, an answer adds events, and each matching pairs
+    events of its own configurations.  The aliases that perfbench's tracer
+    reads count what the keys and ids hold."""
     rng = random.Random(41)
     for _ in range(10):
         es1 = random_es(rng, "A", max_events=4)
         es2 = random_es(rng, "B", max_events=4)
         for kind in ALL_KINDS:
             a = build_arena(es1, es2, kind)
-            for i, pos in enumerate(a.positions):
-                assert len(a.moves[pos]) == len(a.succ[i])
-                for k, mv in enumerate(a.moves[pos]):
-                    assert mv.target == a.positions[a.succ[i][k]]
-                    if _owner(pos) is Role.SPOILER:
-                        assert _owner(mv.target) is Role.DUPLICATOR
+            assert len(a.positions) == len(a.keys)
+            assert sum(map(len, a.moves.values())) == sum(map(len, a.succ))
+            for key, out in zip(a.keys, a.succ):
+                sw, left, right, pairs, _ = key
+                size = left.bit_count() + right.bit_count()
+                for j in out:
+                    target = a.keys[j]
+                    _, t_left, t_right, _, _ = target
+                    if _owner(key) is Role.SPOILER:
+                        assert _owner(target) is Role.DUPLICATOR
                         # a challenge never changes the matched configurations
-                        assert (mv.target.left, mv.target.right) in {
-                            (pos.left, pos.right),
-                            (pos.right, pos.left),
-                        }
+                        assert (t_left, t_right) in {(left, right), (right, left)}
                     else:
-                        assert _owner(mv.target) is Role.SPOILER
+                        assert _owner(target) is Role.SPOILER
                         # an answer adds events, so the solver's sweep order holds
-                        size = pos.left.bit_count() + pos.right.bit_count()
-                        assert mv.target.left.bit_count() + mv.target.right.bit_count() > size
-                if kind.posetal and pos.pairs is not None:
-                    m1, pairs, m2 = _triple(pos)
-                    if pos.swapped:
-                        assert (m1, m2) == (pos.right, pos.left)
-                    else:
-                        assert (m1, m2) == (pos.left, pos.right)
+                        assert t_left.bit_count() + t_right.bit_count() > size
+                if kind.posetal and pairs is not None:
+                    m1, _, m2 = _triple(key)
+                    assert (m1, m2) == ((right, left) if sw else (left, right))
                     for i1, j2 in pairs:
                         assert m1 >> i1 & 1 and m2 >> j2 & 1
 
@@ -280,7 +278,6 @@ def test_hhp_demotion_characterization(mode):
 def _duplicator_picks_to_demoted(arena, verdict):
     """Duplicator move indices that walk the machine's Spoiler strategy
     into a demoted position, if any play does."""
-    demoted = set(verdict.demoted_ids)
     seen = set()
     queue = deque([(0, ())])
     while queue:
@@ -288,7 +285,7 @@ def _duplicator_picks_to_demoted(arena, verdict):
         if i in seen:
             continue
         seen.add(i)
-        if i in demoted:
+        if i in verdict.demoted_ids:
             return picks
         legal = arena.succ[i]
         if not legal:
@@ -384,7 +381,7 @@ def test_solver_matches_reference(pairs):
             winner, strategy, demoted = _reference_solve(verdict.arena)
             keys = verdict.arena.keys
             assert list(verdict.win) == [winner[i] for i in range(len(keys))]
-            assert set(verdict.demoted_ids) == demoted
+            assert verdict.demoted_ids == demoted
             assert {
                 i: verdict.canonical_move(i)
                 for i, key in enumerate(keys)

@@ -4,6 +4,7 @@ module's private names, and everything the package exports exists."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import pesbisim
 
 SRC = Path(pesbisim.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -42,10 +44,22 @@ def test_every_exported_name_resolves():
     assert len(set(pesbisim.__all__)) == len(pesbisim.__all__)
 
 
-# Imported for a reader outside the module, with the reason.
-UNUSED_IMPORTS_ALLOWED = {
-    ("oracle.py", "enumerate_matchings"): "perfbench/tracing.py wraps the name in oracle",
+# Names in src/ that only perfbench's tracer reads, with how it reads them.
+TRACER_NAMES = {
+    ("oracle.py", "enumerate_matchings"): "an import, wrapped by name in oracle",
+    ("games.py", "positions"): "Arena.positions, an alias of keys",
+    ("games.py", "moves"): "Arena.moves, an alias of succ by position id",
+    ("games.py", "demoted"): "GameVerdict.demoted, an alias of demoted_ids",
 }
+
+
+def test_tracer_still_reads_the_names_kept_for_it():
+    """Each name of TRACER_NAMES is read in perfbench/tracing.py, as an
+    attribute or passed by name, so once the tracer stops reading one this
+    fails until the name and its entry are deleted."""
+    source = (PERFBENCH / "tracing.py").read_text(encoding="utf-8")
+    unread = [key for key in TRACER_NAMES if not re.search(rf'\.{key[1]}\b|"{key[1]}",', source)]
+    assert unread == []
 
 
 @pytest.mark.parametrize(
@@ -60,9 +74,7 @@ def test_no_unused_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = {
-        name for name in imported - used if (path.name, name) not in UNUSED_IMPORTS_ALLOWED
-    }
+    unused = {name for name in imported - used if (path.name, name) not in TRACER_NAMES}
     assert unused == set(), f"{path.name} imports {sorted(unused)} without using them"
 
 
@@ -88,49 +100,3 @@ def test_no_unused_private_definitions(path):
         if node.name not in used:
             unused.append(node.name)
     assert unused == [], f"{path.name} defines {unused} without using them"
-
-
-# The game's object views: types, and the members that build them for
-# perfbench's tracer, their only program reader.
-VIEW_TYPES = {"GamePosition", "Challenge", "Move"}
-VIEW_BUILDERS = {"positions", "moves", "demoted"}
-
-
-def _names(tree: ast.AST) -> set[str]:
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
-    return names
-
-
-def test_object_views_stay_in_their_builders():
-    """Plays, strategies and exports run on position keys and ids: no
-    module but games.py names a view type (the package's exports
-    excepted), and games.py builds one only in the view members."""
-    naming = {
-        path.name: sorted(_names(ast.parse(path.read_text(encoding="utf-8"))) & VIEW_TYPES)
-        for path in MODULES
-        if path.name not in ("__init__.py", "games.py")
-    }
-    assert {name: views for name, views in naming.items() if views} == {}
-    tree = ast.parse((SRC / "games.py").read_text(encoding="utf-8"))
-    allowed = {
-        id(node)
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name in VIEW_BUILDERS
-        for node in ast.walk(fn)
-    }
-    builds = [
-        (node.func.id, node.lineno)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in VIEW_TYPES
-        and id(node) not in allowed
-    ]
-    assert builds == [], f"games.py builds object views outside {sorted(VIEW_BUILDERS)}"

@@ -80,6 +80,11 @@ conflict a # b   # the operator '#' is not a comment here
     assert es.events == ("a",)
 
 
+def test_leading_byte_order_mark_is_ignored():
+    text = (FIXTURE_DIR / "par.pes").read_text(encoding="utf-8")
+    assert parse_document("\ufeff" + text) == parse_document(text)
+
+
 def test_conflict_symbol_form():
     es = parse_pes("pes X\nevent a : a\nevent b : b\nconflict a ♯ b\n")
     assert es.in_conflict("a", "b")
@@ -142,6 +147,9 @@ def test_terminating_forms():
         ("pes X\nevent a : a\nterminating # { {a} }\n", 3, 1, "expected 'terminating"),
         ("pes X\nevent a : a\nterminating maximal { {a} }\n", 3, 1, "expected 'terminating"),
         ("pes X\nterminating none { }\n", 2, 1, "expected 'terminating maximal|none|"),
+        # only one leading byte-order mark is dropped; any other is text
+        ("\ufeff\ufeffpes X\n", 1, 1, "expected 'pes <name>' first"),
+        ("pes X\n\ufeffevent a : a\n", 2, 1, "unknown statement '\\ufeffevent'"),
     ],
 )
 def test_parse_error_positions(text, line, column, fragment):
