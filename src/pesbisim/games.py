@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ArenaCycleError, CapExceededError, IllegalMoveError, ValidationError
 from .kinds import BisimulationKind, Flavor
-from .oracle import Engine, hereditary_ok, triple_universe
+from .oracle import Engine, triple_universe, unclosed
 from .pes import EventStructure
 from .pomsets import Pairs
 
@@ -338,7 +338,7 @@ def solve_hereditary(arena: Arena) -> GameVerdict:
         won = [i for i in triples if win[i] is Role.DUPLICATOR]
         alive = {triples[i] for i in won}
         # both orientations of a matching share its triple: check it once
-        broken = {t for t in alive if not hereditary_ok(eng, t, alive)}
+        broken = unclosed(eng, alive, alive)
         if not broken:
             return GameVerdict(arena, win, frozenset(demoted))
         demoted += [i for i in won if triples[i] in broken]

@@ -10,7 +10,8 @@ larger m1, and keys with the same m1 and pairs but a larger m2.  Every
 key a check reads besides its own is therefore settled before it, and
 the key itself is taken as alive, as the greatest fixpoint assumes.  The
 hereditary flavors keep an outer loop: demote every matching that has a
-pointwise-smaller valid matching outside the current set, then make one
+restriction outside the current set (``unclosed``, which reaches the
+restrictions by removing one maximal event at a time), then make one
 more pass, until nothing is demoted.  Hereditary closure reads smaller
 keys, so it cannot join the single pass.  Two structures are equivalent
 exactly when the empty pair (or empty matching) survives.
@@ -47,10 +48,10 @@ for hp and hhp, transitions otherwise.  Its answers are
 matching by the answering event (one causal-past mask comparison each),
 or, in branching hp, silent answers to a silent event, keeping the pairs.
 
-The move layer, ``Engine``, ``triple_universe`` and ``hereditary_ok``, is
+The move layer, ``Engine``, ``triple_universe`` and ``unclosed``, is
 public: the games read Spoiler's challenges and Duplicator's matches
-from the same two methods, so both decision procedures share one
-definition of every move.
+from the same two methods, and demote by the same closure, so both
+decision procedures share one definition of every move.
 """
 
 from __future__ import annotations
@@ -276,50 +277,50 @@ def _side_ok(eng: Engine, key: Key, alive: set[Key], side: int) -> bool:
 # hereditary closure
 
 
-def hereditary_ok(eng: Engine, key: Key, alive: set[Key]) -> bool:
-    """Whether every synchronized shrinking of the matching stays in the set.
+def unclosed(eng: Engine, keys: Iterable[Key], alive: set[Key]) -> set[Key]:
+    """The keys of keys with a synchronized restriction outside alive.
 
-    Shrinking restricts one side to a smaller configuration and keeps only
-    the pairs whose events survive.  In strong mode the other side is forced
-    to the image of the restriction, which is again a configuration because
-    the matching preserves order both ways, so shrinking the first side
-    covers every restriction.  In weak mode the pairs pin down only the
-    visible image, so each side is shrunk in turn, and the obligation is
-    discharged as soon as one completion of that image by silent events of
-    the other side is alive."""
-    return _shrinkings_ok(eng, key, alive, 1) and (
-        not eng.branching or _shrinkings_ok(eng, key, alive, 2)
-    )
+    A restriction shrinks one side to a configuration within the key's
+    (its own included, then one maximal event less at a time), keeps the
+    pairs whose events survive, and must be in alive with the image of
+    those pairs, completed in weak mode by silent events the key holds
+    there (its rest).  A key whose masks hold no silent event is matched
+    whole, so its side-1 restrictions are all.  Each restriction is judged
+    once per call, whichever key reaches it."""
+    memo: dict[tuple[int, int, Pairs, int], bool] = {}
+    s1, s2 = (eng.es1.silent_mask, eng.es2.silent_mask) if eng.branching else (0, 0)
+    cfgs = (None, eng.es1.configuration_masks(), eng.es2.configuration_masks())
 
-
-def _shrinkings_ok(eng: Engine, key: Key, alive: set[Key], side: int) -> bool:
-    """hereditary_ok for the shrinkings of one side (1 or 2) of the matching."""
-    m1, pairs, m2 = key
-    own, other = (m1, m2) if side == 1 else (m2, m1)
-    es_own, es_other = (eng.es1, eng.es2) if side == 1 else (eng.es2, eng.es1)
-    a, b = (0, 1) if side == 1 else (1, 0)
-    own_cfgs = es_own.configuration_masks()
-    other_cfgs = es_other.configuration_masks()
-    silent_rest = other & es_other.silent_mask if eng.branching else 0
-    sub = own
-    while sub:
-        sub = (sub - 1) & own
-        if sub not in own_cfgs:
-            continue
-        kept = tuple(p for p in pairs if sub >> p[a] & 1)
-        image = 0
+    def completed(side: int, own: int, kept: Pairs, rest: int) -> bool:
+        d, image = 1 if side == 1 else -1, 0
         for p in kept:
-            image |= 1 << p[b]
-        extra = silent_rest
+            image |= 1 << p[2 - side]
+        extra = rest
         while True:
             cand = image | extra
-            restriction = (sub, kept, cand) if side == 1 else (cand, kept, sub)
-            if cand in other_cfgs and restriction in alive:
-                break
-            if extra == 0:
+            if (own, kept, cand)[::d] in alive and cand in cfgs[3 - side]:
+                return True
+            if not extra:
                 return False
-            extra = (extra - 1) & silent_rest
-    return True
+            extra = (extra - 1) & rest
+
+    def closed(side: int, own: int, kept: Pairs, rest: int) -> bool:
+        ok = memo.get((side, own, kept, rest))
+        if ok is None:
+            ok = completed(side, own, kept, rest) and all(
+                closed(side, own ^ 1 << e, tuple(p for p in kept if p[side - 1] != e), rest)
+                for e in bits(own)
+                if own ^ 1 << e in cfgs[side]
+            )
+            memo[side, own, kept, rest] = ok
+        return ok
+
+    return {
+        key
+        for key in keys
+        if not closed(1, key[0], key[1], key[2] & s2)
+        or (key[0] & s1 or key[2] & s2) and not closed(2, key[2], key[1], key[0] & s1)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -382,9 +383,7 @@ def greatest_bisimulation(
     reps, orbits = _orbits(eng, universe)
     _prune(eng, reps, orbits, alive)
     if kind.flavor is Flavor.HHP:
-        while demoted := [
-            key for key in reps if key in alive and not hereditary_ok(eng, key, alive)
-        ]:
+        while demoted := unclosed(eng, alive.intersection(reps), alive):
             alive.difference_update(*(orbits.get(key, (key,)) for key in demoted))
             _prune(eng, reps, orbits, alive)
     return Relation(es1, es2, kind, frozenset(alive))
@@ -429,7 +428,7 @@ def verify_witness(
             raise MalformedWitnessError(f"{key!r}: {reason}")
         keys.add(key)
     return all(_supported(eng, key, keys) for key in keys) and (
-        kind.flavor is not Flavor.HHP or all(hereditary_ok(eng, key, keys) for key in keys)
+        kind.flavor is not Flavor.HHP or not unclosed(eng, keys, keys)
     )
 
 

@@ -47,16 +47,8 @@ class PesDocument:
     termination: str | tuple[tuple[str, ...], ...]
 
     def to_event_structure(self, caps: Caps | None = None) -> EventStructure:
-        termination = (
-            self.termination if isinstance(self.termination, str) else list(self.termination)
-        )
         return EventStructure(
-            self.name,
-            list(self.events),
-            list(self.causes),
-            list(self.conflicts),
-            termination,
-            caps,
+            self.name, self.events, self.causes, self.conflicts, self.termination, caps
         )
 
 

@@ -107,6 +107,45 @@ def _iso(s1: _Side, x1: int, s2: _Side, x2: int, erase: bool) -> bool:
     return next(_bijections(s1, pick1(x1), s2, pick2(x2)), None) is not None
 
 
+def hereditary(s1: _Side, s2: _Side, branching: bool, key, rel) -> bool:
+    """Whether every restriction of either configuration of the matching
+    key, the configuration itself included, has a counterpart in rel: a
+    key of the restriction, the pairs whose events survive and a
+    configuration within the other one whose events are the image of
+    those pairs (its visible events, in branching mode).  rel is any set
+    of matching keys."""
+
+    def has(side: int, own: int, pairs, other: int) -> bool:
+        if side == 1:
+            return (own, pairs, other) in rel
+        return (other, tuple(sorted((b, a) for a, b in pairs)), own) in rel
+
+    def side_ok(side: int, own: int, pairs, other: int) -> bool:
+        a, b = (s1, s2) if side == 1 else (s2, s1)
+        pick = b.visible if branching else b.events
+        within = {d: pick(d) for d in b.configs if d & other == d}
+        for sub in a.configs:
+            if sub & own != sub:
+                continue
+            kept = tuple(p for p in pairs if sub >> p[0] & 1)
+            image = sorted(q for _, q in kept)
+            if not any(
+                picked == image and has(side, sub, kept, d) for d, picked in within.items()
+            ):
+                return False
+        return True
+
+    c1, pairs, c2 = key
+    flipped = tuple(sorted((b, a) for a, b in pairs))
+    return side_ok(1, c1, pairs, c2) and side_ok(2, c2, flipped, c1)
+
+
+def unclosed(es1: EventStructure, es2: EventStructure, branching: bool, keys, rel) -> set:
+    """The matching keys of keys that ``hereditary`` rejects within rel."""
+    s1, s2 = _Side(es1), _Side(es2)
+    return {key for key in keys if not hereditary(s1, s2, branching, key, rel)}
+
+
 def greatest_relation(
     es1: EventStructure, es2: EventStructure, flavor: str, branching: bool, erase: bool = False
 ) -> set:
@@ -176,22 +215,6 @@ def greatest_relation(
             return any(has(side, own, pairs, o0) and o0 in b.terminating for o0 in reach)
         return True
 
-    def hereditary(side: int, own: int, pairs, other: int) -> bool:
-        """Every restriction of side's configuration has a related
-        counterpart within the other configuration."""
-        a, b = sides[side - 1], sides[2 - side]
-        pick = b.visible if branching else b.events
-        for sub in a.configs:
-            if sub & own != sub:
-                continue
-            kept = tuple(p for p in pairs if sub >> p[0] & 1)
-            image = sorted(q for _, q in kept)
-            if not any(
-                d & other == d and pick(d) == image and has(side, sub, kept, d) for d in b.configs
-            ):
-                return False
-        return True
-
     def ok(key) -> bool:
         if posetal:
             c1, pairs, c2 = key
@@ -200,7 +223,7 @@ def greatest_relation(
         flipped = None if pairs is None else tuple(sorted((b, a) for a, b in pairs))
         if not (transfer_ok(1, c1, pairs, c2) and transfer_ok(2, c2, flipped, c1)):
             return False
-        return flavor != "hhp" or (hereditary(1, c1, pairs, c2) and hereditary(2, c2, flipped, c1))
+        return flavor != "hhp" or hereditary(s1, s2, branching, key, rel)
 
     changed = True
     while changed:

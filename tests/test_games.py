@@ -28,8 +28,9 @@ from pesbisim.games import (
     solve,
     solve_hereditary,
 )
-from pesbisim.oracle import Engine, hereditary_ok
+from pesbisim.oracle import Engine
 
+import reference
 from conftest import (
     absorb2,
     absorb3,
@@ -350,12 +351,12 @@ def _reference_solve(arena):
     winner, strategy = _reference_induct(arena, demoted)
     if arena.kind.flavor is not Flavor.HHP:
         return winner, strategy, demoted
-    eng = Engine(arena.es1, arena.es2, arena.kind, arena.strong_tau_erasure)
     spoiler_positions = [i for i, key in enumerate(arena.keys) if key[4] is None]
     while True:
         won = [i for i in spoiler_positions if winner[i] is Role.DUPLICATOR]
         alive = {_triple(arena.keys[i]) for i in won}
-        newly = [i for i in won if not hereditary_ok(eng, _triple(arena.keys[i]), alive)]
+        broken = reference.unclosed(arena.es1, arena.es2, arena.kind.branching, alive, alive)
+        newly = [i for i in won if _triple(arena.keys[i]) in broken]
         if not newly:
             return winner, strategy, demoted
         demoted = demoted | frozenset(newly)

@@ -22,9 +22,10 @@ from pesbisim import (
     oracle,
     verify_witness,
 )
-from pesbisim.oracle import Engine, hereditary_ok, triple_universe
+from pesbisim.oracle import Engine, triple_universe
 from pesbisim.pes import EventStructure, bits
 
+import reference
 from conftest import (
     absorb2,
     absorb3,
@@ -350,7 +351,9 @@ def test_iso_classes_match_iso_masks(pairs):
 
 def _naive_greatest(es1, es2, kind, strong_tau_erasure):
     """The greatest relation by sweeping the universe in ascending order
-    until nothing changes, with the oracle's per-key checks."""
+    with the oracle's per-key transfer checks until nothing changes, then
+    removing the keys the reference's hereditary walk rejects, and again
+    until neither removes a key."""
     eng = Engine(es1, es2, kind, strong_tau_erasure)
     if kind.posetal:
         universe = triple_universe(eng)
@@ -361,16 +364,20 @@ def _naive_greatest(es1, es2, kind, strong_tau_erasure):
             for m2 in es2.configuration_masks()
         ]
     alive = set(universe)
-    changed = True
-    while changed:
-        changed = False
-        for key in universe:
-            if key in alive and not (
-                oracle._supported(eng, key, alive)
-                and (kind.flavor is not Flavor.HHP or hereditary_ok(eng, key, alive))
-            ):
-                alive.discard(key)
-                changed = True
+    broken = True
+    while broken:
+        changed = True
+        while changed:
+            changed = False
+            for key in universe:
+                if key in alive and not oracle._supported(eng, key, alive):
+                    alive.discard(key)
+                    changed = True
+        broken = kind.flavor is Flavor.HHP and reference.unclosed(
+            es1, es2, kind.branching, alive, alive
+        )
+        if broken:
+            alive -= broken
     return alive
 
 

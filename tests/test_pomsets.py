@@ -19,10 +19,11 @@ from pesbisim import (
     verify_witness,
 )
 from pesbisim.games import build_arena
-from pesbisim.oracle import Engine, hereditary_ok, triple_universe
+from pesbisim.oracle import Engine, triple_universe, unclosed
 from pesbisim.pomsets import extends, iso_masks, matching_fault
 
-from conftest import ch, iso_after_erasure, pa, par, random_es, seq, tau, tau_par
+import reference
+from conftest import ch, iso_after_erasure, pa, par, random_es, random_pairs, seq, tau, tau_par
 
 HP_STRONG = BisimulationKind(Flavor.HP, Mode.STRONG)
 HP_BRANCHING = BisimulationKind(Flavor.HP, Mode.BRANCHING)
@@ -254,11 +255,13 @@ def test_containment():
     empty = (0, (), 0)
     one = (1 << a, ((a, a),), 1 << a)
     two = (s.full_mask, ((a, a), (b, b)), s.full_mask)
-    assert hereditary_ok(eng, two, {empty, one, two})
-    assert not hereditary_ok(eng, two, {empty, two})
-    assert not hereditary_ok(eng, two, {one, two})
-    assert hereditary_ok(eng, one, {empty, one})
-    assert hereditary_ok(eng, empty, set())
+    assert unclosed(eng, [empty, one, two], {empty, one, two}) == set()
+    assert unclosed(eng, [two], {empty, two}) == {two}
+    assert unclosed(eng, [one, two], {one, two}) == {one, two}
+    assert unclosed(eng, [one], {empty, one}) == set()
+    assert unclosed(eng, [empty], {empty}) == set()
+    # a key is its own restriction: outside alive, it is unclosed
+    assert unclosed(eng, [empty], set()) == {empty}
 
 
 def test_containment_shrinks_the_second_side():
@@ -269,8 +272,8 @@ def test_containment_shrinks_the_second_side():
     eng = Engine(left, right, HHP_BRANCHING)
     key = (left.full_mask, ((left.event_index("a"), right.event_index("a")),), right.full_mask)
     empty = (0, (), 0)
-    assert not hereditary_ok(eng, key, {key, empty})
-    assert hereditary_ok(eng, key, {key, empty, (0, (), 1 << right.event_index("t"))})
+    assert unclosed(eng, [key], {key, empty}) == {key}
+    assert unclosed(eng, [key], {key, empty, (0, (), 1 << right.event_index("t"))}) == set()
 
 
 def test_containment_needs_pair_subset():
@@ -280,8 +283,29 @@ def test_containment_needs_pair_subset():
     cross = (aa.full_mask, ((x, y), (y, x)), aa.full_mask)
     cross_parts = {(1 << x, ((x, y),), 1 << y), (1 << y, ((y, x),), 1 << x), (0, (), 0)}
     identity_parts = {(1 << x, ((x, x),), 1 << x), (1 << y, ((y, y),), 1 << y), (0, (), 0)}
-    assert hereditary_ok(eng, cross, cross_parts)
-    assert not hereditary_ok(eng, cross, identity_parts)
+    assert unclosed(eng, [cross], cross_parts | {cross}) == set()
+    assert unclosed(eng, [cross], identity_parts | {cross}) == {cross}
+
+
+@pytest.mark.parametrize("kind", [HHP_STRONG, HHP_BRANCHING], ids=["strong", "branching"])
+def test_closure_matches_the_reference_walk(kind):
+    """unclosed agrees, key for key over the whole matching universe, with
+    the reference's walk over every sub-configuration of both sides, for
+    random subsets of the universe as alive: one-label pairs with silent
+    events, and each structure against itself."""
+    rng = random.Random(7)
+    demoted = 0
+    for es1, es2 in random_pairs(81, 30, max_events=5, alphabet="a", tau_prob=0.3):
+        for left, right in ((es1, es2), (es1, es1), (es2, es2)):
+            eng = Engine(left, right, kind)
+            universe = triple_universe(eng)
+            for _ in range(3):
+                alive = {key for key in universe if rng.random() < 0.8}
+                got = unclosed(eng, universe, alive)
+                want = reference.unclosed(left, right, kind.branching, universe, alive)
+                assert got == want, (left.name, right.name)
+                demoted += len(got & alive)
+    assert demoted >= 100
 
 
 def test_extension_agrees_with_enumeration():
