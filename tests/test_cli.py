@@ -410,6 +410,15 @@ def test_single_engine_runs(capsys):
                 fx("choice3.pes"), fx("chain.pes"),
             ],
         ),
+        (
+            # mirrored Spoiler positions, Duplicator positions sharing one
+            # answer row, silent steps and termination challenges
+            "arena_tau_chain_step_branching.dot",
+            [
+                "export", "--what", "arena", "--rel", "step", "--mode", "branching",
+                fx("tau.pes"), fx("chain.pes"),
+            ],
+        ),
     ],
 )
 def test_dot_exports_match_goldens(golden, argv, capsys):
