@@ -6,36 +6,40 @@ challenge.  Spoiler challenges a transition of either side; challenging
 the right side swaps the orientation so the challenged configuration is
 always first.  Duplicator answers a challenge by matching it with an
 isomorphic transition, which for hp and hhp must extend the matching;
-in branching mode it may instead absorb an
-all-silent challenge, defer by one silent step of the answering side
-(dropping the challenge), or, for a termination challenge, move the
-answering side through silent events to a terminating configuration.
-Configurations only ever grow, so arenas are finite DAGs; a player with
-no move loses.  The builder explores positions as plain tuple keys and
-reads Spoiler's challenges and Duplicator's matches from the oracle's
-``Engine.challenges`` and ``Engine.answers``.  The arena numbers its
-positions as it finds them, and the solver works on those ids alone, by
-backward induction in one sweep: every move adds a challenge or an
-event, so taking positions by descending configuration size, challenged
-ones first, decides every successor before its predecessors.  The
-hereditary flavors judge games started at every matching, so their
-arenas seed a position per valid matching; the solver then demotes
-Duplicator-won positions whose matching has a synchronized shrinking
-with no Duplicator-won counterpart to Spoiler-won sinks, and sweeps
-again with the demoted positions preset, until no demotion fires.  A
-play reaching a demoted position ends there; ``play_turn`` decides, for
-``replay`` and the interactive ``play`` command alike, when a play ends,
-who wins and what the machine plays: ``GameVerdict.canonical_move``,
-which the strategy takes too.  Positions are keys, plays and strategies
-are told in position ids and move indices, and no object form of either
-exists.
+in branching mode it may instead absorb an all-silent challenge, defer
+by one silent step of the answering side (dropping the challenge), or,
+for a termination challenge, move the answering side through silent
+events to a terminating configuration.  Configurations only ever grow,
+so arenas are finite DAGs; a player with no move loses.  The builder
+explores positions as plain tuple keys, reads Spoiler's challenges and
+Duplicator's matches from the oracle's ``Engine.challenges`` and
+``Engine.answers``, and works out each row of moves once: a Spoiler
+position and its mirror, the same pair the other way round, share one
+row with the two challenge groups swapped, and pomset and step
+Duplicator positions that agree on the left target, the right
+configuration and the challenge's isomorphism class share their absorb
+and match moves.  The arena numbers its positions as it finds them, and
+the solver works on those ids alone, by backward induction in one
+sweep: every move adds a challenge or an event, so taking positions by
+descending configuration size, challenged ones first, decides every
+successor before its predecessors.  The hereditary flavors judge games
+started at every matching, so their arenas seed a position per valid
+matching; the solver then demotes Duplicator-won positions whose
+matching has a synchronized shrinking with no Duplicator-won
+counterpart to Spoiler-won sinks, and sweeps again with the demoted
+positions preset, until no demotion fires.  A play reaching a demoted
+position ends there; ``play_turn`` decides, for ``replay`` and the
+interactive ``play`` command alike, when a play ends, who wins and what
+the machine plays: ``GameVerdict.canonical_move``, which the strategy
+takes too.  Positions are keys, plays and strategies are told in
+position ids and move indices, and no object form of either exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ArenaCycleError, CapExceededError, IllegalMoveError, ValidationError
 from .kinds import BisimulationKind, Flavor
@@ -193,6 +197,7 @@ class GameVerdict:
 
 
 _TERMINATION = ("termination", 0, 0)
+_LEFT, _RIGHT, _MATCH = "spoiler-challenge-left", "spoiler-challenge-right", "duplicator-match"
 
 
 def build_arena(
@@ -203,8 +208,14 @@ def build_arena(
     strong_tau_erasure: bool = False,
 ) -> Arena:
     """Breadth-first arena construction from the empty-configurations
-    position, with deterministic move order."""
+    position, with deterministic move order.  A Spoiler row is its
+    mirror's with the two challenge groups swapped when the mirror came
+    first, and pomset and step Duplicator rows share their absorb and
+    match moves through a table keyed by orientation, left target, right
+    configuration and challenge class, each adding its own silent steps."""
     eng = Engine(es1, es2, kind, strong_tau_erasure)
+    branching, es = eng.branching, eng.es
+    challenges, answers, iso_class = eng.challenges, eng.answers, eng.iso_class
     keys: list[Key] = [(False, 0, 0, () if kind.posetal else None, None)]
     # The hereditary flavors judge games started at every matching, not just
     # those reachable from the empty one, so each valid triple is a position.
@@ -215,13 +226,13 @@ def build_arena(
     keys = list(index)
     rules: list[tuple[str, ...]] = []
     succ: list[tuple[int, ...]] = []
-    moves = _game_moves(eng)
+    matched: dict[tuple[bool, int, int, int], tuple[tuple[str, ...], tuple[int, ...]]] = {}
     limit = eng.caps.max_positions
-    # keys is the queue: the loop also visits the positions appended to it
-    for key in keys:
-        names = []
+
+    def number(targets: list[Key]) -> tuple[int, ...]:
+        """The ids of the targets, numbering each new one."""
         ids = []
-        for rule, target in moves(key):
+        for target in targets:
             i = index.get(target)
             if i is None:
                 i = len(keys)
@@ -229,60 +240,63 @@ def build_arena(
                     raise CapExceededError("positions", limit, i + 1)
                 index[target] = i
                 keys.append(target)
-            names.append(rule)
             ids.append(i)
-        rules.append(tuple(names))
-        succ.append(tuple(ids))
-    return Arena(eng, keys, rules, succ)
+        return tuple(ids)
 
-
-def _game_moves(eng: Engine) -> Callable[[Key], list[tuple[str, Key]]]:
-    """The game's moves from a position key, as (rule, target key) in move
-    order.  Spoiler's challenges and Duplicator's matches are the
-    engine's challenges and answers."""
-    branching, es = eng.branching, eng.es
-    challenges, answers = eng.challenges, eng.answers
-
-    def moves(key: Key) -> list[tuple[str, Key]]:
-        sw, left, right, pairs, ch = key
+    # keys is the queue: the loop also visits the positions appended to it
+    for i, (sw, left, right, pairs, ch) in enumerate(keys):
         sl, sr = (2, 1) if sw else (1, 2)
         es_l, es_r = es[sl], es[sr]
         if ch is None:
-            out = [
-                ("spoiler-challenge-left", (sw, left, right, pairs, ("transition", x, t)))
-                for x, t in challenges(sl, left)
-            ]
-            out += [
-                ("spoiler-challenge-right", (not sw, right, left, pairs, ("transition", y, t)))
-                for y, t in challenges(sr, right)
-            ]
+            m = index.get((not sw, right, left, pairs, None), i)
+            if m < i:
+                row, out = rules[m], succ[m]
+                k = row.count(_LEFT)
+                n = k + row.count(_RIGHT)
+                rules.append((_LEFT,) * (n - k) + (_RIGHT,) * k + row[n:])
+                succ.append(out[k:n] + out[:k] + out[n:])
+                continue
+            lefts, rights = challenges(sl, left), challenges(sr, right)
+            targets = [(sw, left, right, pairs, ("transition", x, t)) for x, t in lefts]
+            targets += [(not sw, right, left, pairs, ("transition", y, t)) for y, t in rights]
+            row = (_LEFT,) * len(lefts) + (_RIGHT,) * len(rights)
             if branching and (ends := es_l.terminates_mask(left)) != es_r.terminates_mask(right):
                 # the side that terminates alone is challenged, as the left one
                 turned = (sw, left, right) if ends else (not sw, right, left)
-                out.append(("spoiler-termination-challenge", (*turned, pairs, _TERMINATION)))
-            return out
+                targets.append((*turned, pairs, _TERMINATION))
+                row += ("spoiler-termination-challenge",)
+            rules.append(row)
+            succ.append(number(targets))
+            continue
         challenge, x, target = ch
         if challenge == "termination":
-            return [
-                ("duplicator-match", (sw, left, m0, pairs, None))
+            targets = [
+                (sw, left, m0, pairs, None)
                 for m0 in es_r.tau_reachable_masks(right)
                 if m0 != right and es_r.terminates_mask(m0)
             ]
-        out = []
-        if branching and not x & ~es_l.silent_mask:
-            out.append(("duplicator-absorb-tau", (sw, target, right, pairs, None)))
-        out += [
-            ("duplicator-match", (sw, target, t, p, None)) for t, p in answers(sl, x, pairs, right)
-        ]
-        if branching:
-            out += [
-                ("duplicator-tau-step", (sw, left, right | 1 << e, pairs, None))
-                for e in es_r.enabled(right)
-                if es_r.silent_mask >> e & 1
-            ]
-        return out
-
-    return moves
+            rules.append((_MATCH,) * len(targets))
+            succ.append(number(targets))
+            continue
+        # hp and hhp answers extend the pairs, so only pomset and step rows are shared
+        shared = None if pairs is not None else (sw, target, right, iso_class(sl, x))
+        found = matched.get(shared)
+        if found is None:
+            absorb = branching and not x & ~es_l.silent_mask
+            targets = [(sw, target, right, pairs, None)] if absorb else []
+            targets += [(sw, target, t, p, None) for t, p in answers(sl, x, pairs, right)]
+            names = ("duplicator-absorb-tau",) * absorb + (_MATCH,) * (len(targets) - absorb)
+            found = (names, number(targets))
+            if shared is not None:
+                matched[shared] = found
+        row, out = found
+        if branching and (silent := es_r.silent_mask & ~right):
+            steps = [right | 1 << e for e in es_r.enabled(right) if silent >> e & 1]
+            row += ("duplicator-tau-step",) * len(steps)
+            out += number([(sw, left, r, pairs, None) for r in steps])
+        rules.append(row)
+        succ.append(out)
+    return Arena(eng, keys, rules, succ)
 
 
 def _sweep(arena: Arena, demoted: Iterable[int] = ()) -> list[Role]:

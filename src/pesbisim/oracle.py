@@ -185,7 +185,7 @@ class Engine:
             mask &= ~es.silent_mask
         cid = self._classes.get((side, mask))
         if cid is None:
-            reps = self._class_reps.setdefault(signature(es, bits(mask)), [])
+            reps = self._class_reps.setdefault(signature(es, mask), [])
             for rep, rep_side, rep_mask in reps:
                 if iso_masks(self.es[rep_side], rep_mask, es, mask):
                     cid = rep

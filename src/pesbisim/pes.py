@@ -254,6 +254,11 @@ class EventStructure:
         return self._below
 
     @property
+    def future_masks(self) -> tuple[int, ...]:
+        """Per event index, the mask of its causal future, itself included."""
+        return self._above
+
+    @property
     def twin_masks(self) -> tuple[int, ...]:
         """Per event index, the mask of its twin class.  Twins have the same
         label, and swapping them keeps causality, conflict and the

@@ -58,15 +58,17 @@ def _bijections(
     yield from backtrack(0, 0)
 
 
-def signature(es: EventStructure, idx: list[int]) -> tuple[tuple[str, int, int], ...]:
-    """An isomorphism invariant of the pomset on the events idx: the
-    sorted (label, events below, events above) of each event."""
-    past, mask = es.past_masks, sum(1 << i for i in idx)
-    sig = []
-    for i in idx:
-        above = sum(past[j] >> i & 1 for j in idx) - 1
-        sig.append((es.labels[i], (past[i] & mask).bit_count() - 1, above))
-    return tuple(sorted(sig))
+def signature(es: EventStructure, mask: int) -> tuple[tuple[str, int, int], ...]:
+    """An isomorphism invariant of the pomset on the event mask: the
+    sorted (label, events below, events above) of each event, itself
+    counted in both."""
+    labels, past, future = es.labels, es.past_masks, es.future_masks
+    return tuple(
+        sorted(
+            (labels[i], (past[i] & mask).bit_count(), (future[i] & mask).bit_count())
+            for i in bits(mask)
+        )
+    )
 
 
 def iso_masks(
@@ -76,11 +78,9 @@ def iso_masks(
     mask2: int,
 ) -> bool:
     """Whether the pomsets on two event masks are isomorphic, silent events included."""
-    idx1 = bits(mask1)
-    idx2 = bits(mask2)
-    if len(idx1) != len(idx2) or signature(es1, idx1) != signature(es2, idx2):
+    if mask1.bit_count() != mask2.bit_count() or signature(es1, mask1) != signature(es2, mask2):
         return False
-    return next(_bijections(es1, idx1, es2, idx2), None) is not None
+    return next(_bijections(es1, bits(mask1), es2, bits(mask2)), None) is not None
 
 
 def matching_fault(

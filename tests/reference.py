@@ -15,7 +15,9 @@ with the engines:
   extends the matching to one that is still related;
 * hereditary closure walks every sub-configuration of both sides;
 * the greatest fixpoint starts from every candidate key and removes the
-  keys whose conditions fail until nothing changes.
+  keys whose conditions fail until nothing changes;
+* the game arena is explored breadth-first from the empty position,
+  and every position's moves are worked out afresh from the above.
 
 Keys have the oracle's shapes: (mask1, mask2) for pomset and step, and
 (mask1, pairs, mask2) for hp and hhp, pairs the sorted (index in es1,
@@ -234,3 +236,120 @@ def greatest_relation(
                 changed = True
     return rel
 
+
+
+def arena(
+    es1: EventStructure, es2: EventStructure, flavor: str, branching: bool, erase: bool = False
+) -> tuple[list, list, list]:
+    """The game arena of the flavor in strong or branching mode as
+    (keys, rules, succ), built breadth-first from the empty position with
+    every position's moves worked out afresh.  Keys have the games'
+    shape (swapped, left, right, pairs, challenge), and moves come in the
+    games' order: Spoiler's challenges of the left side, then of the
+    right one (as the left side of the swapped pair), then the
+    termination challenge of the side that terminates alone; Duplicator's
+    absorption of an all-silent challenge, then its matches, then its
+    silent steps, or for a termination challenge its silent moves to a
+    terminating configuration.  Every group is ordered by target
+    configuration.  erase acts on pomset and step only."""
+    sides = (None, _Side(es1), _Side(es2))
+    posetal = flavor in ("hp", "hhp")
+    erase = erase or branching
+    keys = [(False, 0, 0, () if posetal else None, None)]
+    if flavor == "hhp":
+        s1, s2 = sides[1], sides[2]
+        pick1, pick2 = (s1.visible, s2.visible) if branching else (s1.events, s2.events)
+        universe = {
+            (c1, pairs, c2)
+            for c1 in s1.configs
+            for c2 in s2.configs
+            for pairs in _bijections(s1, pick1(c1), s2, pick2(c2))
+        }
+        keys += [(False, c1, c2, pairs, None) for c1, pairs, c2 in sorted(universe)]
+    keys = list(dict.fromkeys(keys))
+    index = {key: i for i, key in enumerate(keys)}
+
+    def challenges(s: _Side, c: int) -> list[tuple[int, int]]:
+        if posetal:
+            return [(1 << e, c | 1 << e) for e in s.singles(c)]
+        return s.transitions(c, flavor == "step")
+
+    def moves(key) -> list:
+        sw, left, right, pairs, ch = key
+        a, b = (sides[2], sides[1]) if sw else (sides[1], sides[2])
+        if ch is None:
+            out = [
+                ("spoiler-challenge-left", (sw, left, right, pairs, ("transition", x, t)))
+                for x, t in challenges(a, left)
+            ]
+            out += [
+                ("spoiler-challenge-right", (not sw, right, left, pairs, ("transition", y, t)))
+                for y, t in challenges(b, right)
+            ]
+            ends = left in a.terminating
+            if branching and ends != (right in b.terminating):
+                turned = (sw, left, right) if ends else (not sw, right, left)
+                out.append(
+                    ("spoiler-termination-challenge", (*turned, pairs, ("termination", 0, 0)))
+                )
+            return out
+        if ch[0] == "termination":
+            return [
+                ("duplicator-match", (sw, left, d, pairs, None))
+                for d in b.silent_reach(right)
+                if d != right and d in b.terminating
+            ]
+        _, x, target = ch
+        tau = not a.visible(x)
+        out = []
+        if branching and tau:
+            out.append(("duplicator-absorb-tau", (sw, target, right, pairs, None)))
+        if not posetal:
+            out += [
+                ("duplicator-match", (sw, target, t, None, None))
+                for y, t in b.transitions(right, flavor == "step")
+                if _iso(a, x, b, y, erase)
+            ]
+        elif branching and tau:
+            out += [
+                ("duplicator-match", (sw, target, right | 1 << f, pairs, None))
+                for f in b.singles(right)
+                if b.silent[f]
+            ]
+        else:
+            (e,) = a.events(x)
+            # e and f are maximal once added, so the pairs must agree on what lies below them
+            for f in b.singles(right):
+                if a.labels[e] == b.labels[f] and all(
+                    a.leq[p][e] == b.leq[q][f] for p, q in _oriented(pairs, sw)
+                ):
+                    grown = _extended(pairs, sw, e, f)
+                    out.append(("duplicator-match", (sw, target, right | 1 << f, grown, None)))
+        if branching:
+            out += [
+                ("duplicator-tau-step", (sw, left, right | 1 << f, pairs, None))
+                for f in b.singles(right)
+                if b.silent[f]
+            ]
+        return out
+
+    rules, succ = [], []
+    for key in keys:  # keys is the queue
+        found = moves(key)
+        for _, target in found:
+            if target not in index:
+                index[target] = len(keys)
+                keys.append(target)
+        rules.append(tuple(rule for rule, _ in found))
+        succ.append(tuple(index[target] for _, target in found))
+    return keys, rules, succ
+
+
+def _oriented(pairs, sw: bool):
+    """The pairs as (left index, right index) for a position swapped or not."""
+    return [(q, p) for p, q in pairs] if sw else list(pairs)
+
+
+def _extended(pairs, sw: bool, e: int, f: int):
+    """The pairs with left event e matched to right event f, sorted."""
+    return tuple(sorted(pairs + (((f, e),) if sw else ((e, f),))))

@@ -323,6 +323,49 @@ def test_hhp_arena_covers_every_matching():
 
 
 # ----------------------------------------------------------------------
+# shared rows: the builder works out each row once, and the reference
+# works out every position's moves afresh from the definitions
+
+# fixture pairs both ways and one-label pairs with silent events, in every
+# kind, and with strong_tau_erasure where it acts
+SHARED_ROW_CASES = [
+    (es1, es2, kind, erase)
+    for es1, es2 in [pair[::d] for pair in fixture_pairs() for d in (1, -1)]
+    + random_pairs(45, 30, max_events=5, alphabet="a", tau_prob=0.3)
+    for kind in ALL_KINDS
+    for erase in ((False, True) if kind.mode is Mode.STRONG and not kind.posetal else (False,))
+]
+
+
+def test_shared_rows_build_the_reference_arena():
+    for es1, es2, kind, erase in SHARED_ROW_CASES:
+        arena = build_arena(es1, es2, kind, strong_tau_erasure=erase)
+        keys, rules, succ = reference.arena(es1, es2, kind.flavor.value, kind.branching, erase)
+        case = (es1.name, es2.name, str(kind), erase)
+        assert arena.keys == keys, case
+        assert list(arena.rules) == rules, case
+        assert list(arena.succ) == succ, case
+
+
+def test_mirrored_spoiler_positions_agree():
+    """A Spoiler position and its mirror, the same pair the other way
+    round, have the same successors, up to order, and the same winner."""
+    mirrored = 0
+    for es1, es2, kind, erase in SHARED_ROW_CASES:
+        verdict = game_check(es1, es2, kind, strong_tau_erasure=erase)
+        keys, succ = verdict.arena.keys, verdict.arena.succ
+        index = {key: i for i, key in enumerate(keys)}
+        for i, (sw, left, right, pairs, ch) in enumerate(keys):
+            m = index.get((not sw, right, left, pairs, None))
+            if ch is None and m is not None:
+                mirrored += 1
+                case = (es1.name, es2.name, str(kind), erase, keys[i])
+                assert sorted(succ[i]) == sorted(succ[m]), case
+                assert verdict.win[i] is verdict.win[m], case
+    assert mirrored > 1000
+
+
+# ----------------------------------------------------------------------
 # reference solver: plain backward induction in topological order, and
 # hereditary demotion that re-solves the whole arena after every round
 
