@@ -27,12 +27,7 @@ from .games import (
 )
 from .kinds import ALL_KINDS, BisimulationKind, Flavor, Mode
 from .oracle import Relation, Verdict, check, greatest_bisimulation, verify_witness
-from .pes import (
-    Caps,
-    EventStructure,
-    TerminationPolicy,
-    SILENT_LABEL,
-)
+from .pes import Caps, EventStructure, SILENT_LABEL
 from .pesfile import PesDocument, format_document, parse_document, parse_pes
 from .pomsets import enumerate_matchings
 
@@ -57,7 +52,6 @@ __all__ = [
     "Relation",
     "Role",
     "SILENT_LABEL",
-    "TerminationPolicy",
     "Transcript",
     "ValidationError",
     "Verdict",

@@ -72,6 +72,15 @@ def _load(path: str, caps: Caps) -> EventStructure:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+def _kind_and_pair(
+    args: argparse.Namespace, caps: Caps
+) -> tuple[BisimulationKind, EventStructure, EventStructure]:
+    """The kind named by --rel and --mode, then the two structures of the
+    files, each loaded under the caps."""
+    kind = BisimulationKind.parse(args.rel, args.mode)
+    return kind, _load(args.files[0], caps), _load(args.files[1], caps)
+
+
 def _serialize_witness(verdict: oracle.Verdict) -> list:
     relation = verdict.witness
     assert relation is not None
@@ -114,9 +123,7 @@ def _json_lines(report: dict[str, Any]) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     caps = _caps_from_args(args)
-    kind = BisimulationKind.parse(args.rel, args.mode)
-    es1 = _load(args.files[0], caps)
-    es2 = _load(args.files[1], caps)
+    kind, es1, es2 = _kind_and_pair(args, caps)
     started = time.perf_counter()
     verdicts: dict[str, Any] = {}
     capped: dict[str, CapExceededError] = {}
@@ -202,10 +209,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_play(args: argparse.Namespace) -> int:
-    caps = _caps_from_args(args)
-    kind = BisimulationKind.parse(args.rel, args.mode)
-    es1 = _load(args.files[0], caps)
-    es2 = _load(args.files[1], caps)
+    kind, es1, es2 = _kind_and_pair(args, _caps_from_args(args))
     gv = games.game_check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
     arena = gv.arena
     human = Role(args.human_role)
@@ -259,9 +263,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         raise ValidationError("export --what arena takes exactly two files")
     if not args.rel or not args.mode:
         raise ValidationError("export --what arena needs --rel and --mode")
-    kind = BisimulationKind.parse(args.rel, args.mode)
-    es1 = _load(args.files[0], caps)
-    es2 = _load(args.files[1], caps)
+    kind, es1, es2 = _kind_and_pair(args, caps)
     gv = games.game_check(es1, es2, kind, strong_tau_erasure=args.strong_tau_erasure)
     sys.stdout.write(arena_dot(gv))
     return 0

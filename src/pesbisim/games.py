@@ -2,9 +2,10 @@
 
 Positions carry an oriented pair of configurations (plus a matching for
 the history-preserving flavors) and, on Duplicator's turns, the pending
-challenge.  Spoiler challenges a transition of either side; challenging
-the right side swaps the orientation so the challenged configuration is
-always first.  Duplicator answers a challenge by matching it with an
+challenge: the mask of the events Spoiler added, or 0 for termination.
+Spoiler challenges a transition of either side; challenging the right
+side swaps the orientation so the challenged configuration is always
+first.  Duplicator answers a challenge by matching it with an
 isomorphic transition, which for hp and hhp must extend the matching;
 in branching mode it may instead absorb an all-silent challenge, defer
 by one silent step of the answering side (dropping the challenge), or,
@@ -48,12 +49,14 @@ from .pes import EventStructure
 from .pomsets import Pairs
 
 
-Key = tuple[bool, int, int, Pairs | None, tuple[str, int, int] | None]
+Key = tuple[bool, int, int, Pairs | None, int | None]
 """A position as (swapped, left, right, pairs, challenge): configuration
 masks left and right, swapped when left is the second structure's, the
 sorted (first, second) index pairs of the matching for hp/hhp or None,
-and challenge None on Spoiler's turns, else ("transition", added events,
-left target) or ("termination", 0, 0) on Duplicator's."""
+and challenge None on Spoiler's turns, else on Duplicator's the mask of
+the events Spoiler's transition added to left, or 0 when Spoiler
+challenged the left side's termination (a transition adds at least one
+event).  Ownership is read from challenge is None, never from its truth."""
 
 
 class Role(Enum):
@@ -114,9 +117,9 @@ class Arena:
             body += " [sides swapped]"
         if ch is None:
             return f"[{body}]"
-        if ch[0] == "termination":
+        if ch == 0:
             return f"<{body} ? left side terminated>"
-        return f"<{body} ? X={es_l.format_mask(ch[1])}>"
+        return f"<{body} ? X={es_l.format_mask(ch)}>"
 
     def describe_move(self, source: Key, rule: str, target: Key) -> str:
         """The move by rule from source to target (keys) as text."""
@@ -124,9 +127,9 @@ class Arena:
         t_sw, _, t_right, _, t_ch = target
         es_l, es_r = self.sides(sw)
         if rule == "spoiler-challenge-left":
-            return f"challenge left X={es_l.format_mask(t_ch[1])}"
+            return f"challenge left X={es_l.format_mask(t_ch)}"
         if rule == "spoiler-challenge-right":
-            return f"challenge right X={es_r.format_mask(t_ch[1])}"
+            return f"challenge right X={es_r.format_mask(t_ch)}"
         if rule == "spoiler-termination-challenge":
             side = "left" if t_sw == sw else "right"
             return f"challenge termination of the {side} side"
@@ -134,7 +137,7 @@ class Arena:
             return "absorb the silent challenge"
         if rule == "duplicator-tau-step":
             return f"silent step {es_r.format_mask(t_right & ~right)}, dropping the challenge"
-        if ch[0] == "termination":
+        if ch == 0:
             return f"reach terminating {es_r.format_mask(t_right)} by silent moves"
         return f"answer with Y={es_r.format_mask(t_right & ~right)}"
 
@@ -196,7 +199,6 @@ class GameVerdict:
         return [(i, move(i)) for i in self._strategy_ids()]
 
 
-_TERMINATION = ("termination", 0, 0)
 _LEFT, _RIGHT, _MATCH = "spoiler-challenge-left", "spoiler-challenge-right", "duplicator-match"
 
 
@@ -257,19 +259,18 @@ def build_arena(
                 succ.append(out[k:n] + out[:k] + out[n:])
                 continue
             lefts, rights = challenges(sl, left), challenges(sr, right)
-            targets = [(sw, left, right, pairs, ("transition", x, t)) for x, t in lefts]
-            targets += [(not sw, right, left, pairs, ("transition", y, t)) for y, t in rights]
+            targets = [(sw, left, right, pairs, x) for x, _ in lefts]
+            targets += [(not sw, right, left, pairs, y) for y, _ in rights]
             row = (_LEFT,) * len(lefts) + (_RIGHT,) * len(rights)
             if branching and (ends := es_l.terminates_mask(left)) != es_r.terminates_mask(right):
                 # the side that terminates alone is challenged, as the left one
                 turned = (sw, left, right) if ends else (not sw, right, left)
-                targets.append((*turned, pairs, _TERMINATION))
+                targets.append((*turned, pairs, 0))
                 row += ("spoiler-termination-challenge",)
             rules.append(row)
             succ.append(number(targets))
             continue
-        challenge, x, target = ch
-        if challenge == "termination":
+        if ch == 0:  # the termination challenge
             targets = [
                 (sw, left, m0, pairs, None)
                 for m0 in es_r.tau_reachable_masks(right)
@@ -278,13 +279,14 @@ def build_arena(
             rules.append((_MATCH,) * len(targets))
             succ.append(number(targets))
             continue
+        target = left | ch
         # hp and hhp answers extend the pairs, so only pomset and step rows are shared
-        shared = None if pairs is not None else (sw, target, right, iso_class(sl, x))
+        shared = None if pairs is not None else (sw, target, right, iso_class(sl, ch))
         found = matched.get(shared)
         if found is None:
-            absorb = branching and not x & ~es_l.silent_mask
+            absorb = branching and not ch & ~es_l.silent_mask
             targets = [(sw, target, right, pairs, None)] if absorb else []
-            targets += [(sw, target, t, p, None) for t, p in answers(sl, x, pairs, right)]
+            targets += [(sw, target, t, p, None) for t, p in answers(sl, ch, pairs, right)]
             names = ("duplicator-absorb-tau",) * absorb + (_MATCH,) * (len(targets) - absorb)
             found = (names, number(targets))
             if shared is not None:

@@ -6,11 +6,12 @@ are configurations: finite event sets that are conflict-free and downward
 closed under causality.  A label is a plain name; the name ``tau`` is
 reserved for silent events.
 
-Construction validates the declarations and closes causality and
-conflict into per-event bitmasks.  Events are indexed by declaration
-order; configurations and the event sets that transitions add are
-bitmasks over those indices, and ``configurations`` lists the former in
-ascending mask order, their canonical order.  The engines read every
+Construction validates the declarations, closes causality and conflict
+into per-event bitmasks and keeps the terminating configurations as the
+plain value ``terminating``.  Events are indexed by declaration order;
+configurations and the event sets that transitions add are bitmasks
+over those indices, and ``configurations`` lists the former in ascending
+mask order, their canonical order.  The engines read every
 move through the mask-level methods (``enabled``, ``transition_masks``,
 ``tau_reachable_masks``, ``terminates_mask``), which cache their answers
 per mask; ``format_mask`` caches the event names of each mask as text.
@@ -46,24 +47,6 @@ class Caps:
                 raise ValidationError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class TerminationPolicy:
-    """Which configurations count as successfully terminated.
-
-    kind is one of 'maximal' (configurations with no outgoing transition),
-    'none', or 'explicit' (exactly the listed configuration masks).
-    """
-
-    kind: str
-    masks: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("maximal", "none", "explicit"):
-            raise ValidationError(f"unknown termination policy {self.kind!r}")
-        if self.kind != "explicit" and self.masks:
-            raise ValidationError("termination masks only allowed for the explicit policy")
-
-
 def bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, ascending."""
     out = []
@@ -82,7 +65,9 @@ class EventStructure:
     conflict.  Causality is closed reflexively and transitively, conflict
     symmetrically and hereditarily.  termination is 'maximal', 'none', or
     an iterable of event-id sets naming the terminating configurations.
-    The labels attribute holds the label name of each event index.
+    The labels attribute holds the label name of each event index, and
+    terminating the frozenset of the terminating configurations' masks
+    ('none' is the empty one), or None when the maximal ones terminate.
     """
 
     def __init__(
@@ -178,9 +163,9 @@ class EventStructure:
         self._conflict = tuple(conflict)
 
         if termination == "maximal":
-            self._termination = TerminationPolicy("maximal")
+            self.terminating: frozenset[int] | None = None
         elif termination == "none":
-            self._termination = TerminationPolicy("none")
+            self.terminating = frozenset()
         elif isinstance(termination, str):
             raise ValidationError(f"unknown termination policy {termination!r}")
         else:
@@ -194,7 +179,7 @@ class EventStructure:
                         f"terminating set {{{', '.join(sorted(group))}}} is not a configuration"
                     )
                 masks.add(m)
-            self._termination = TerminationPolicy("explicit", frozenset(masks))
+            self.terminating = frozenset(masks)
 
         self._config_masks: frozenset[int] | None = None
         self._sorted_masks: tuple[int, ...] = ()
@@ -216,10 +201,6 @@ class EventStructure:
     @property
     def events(self) -> tuple[str, ...]:
         return self._events
-
-    @property
-    def termination(self) -> TerminationPolicy:
-        return self._termination
 
     def label(self, event: str) -> str:
         return self.labels[self._resolve(event)]
@@ -277,7 +258,7 @@ class EventStructure:
         """Whether swapping i and j, of one label and one strict past, also
         keeps their futures, conflicts and the terminating configurations."""
         both = 1 << i | 1 << j
-        ends = self._termination.masks  # empty unless the policy is explicit
+        ends = self.terminating or ()
         differ = (self._above[i] ^ self._above[j] | self._conflict[i] ^ self._conflict[j]) & ~both
         return not differ and all((m ^ both if (m >> i ^ m >> j) & 1 else m) in ends for m in ends)
 
@@ -385,14 +366,10 @@ class EventStructure:
         return cached
 
     def terminates_mask(self, mask: int) -> bool:
-        """True iff the configuration counts as successfully terminated
-        under this structure's termination policy."""
-        pol = self._termination
-        if pol.kind == "maximal":
-            return not self.enabled(mask)
-        if pol.kind == "none":
-            return False
-        return mask in pol.masks
+        """True iff the configuration counts as successfully terminated:
+        it is in terminating, or maximal when terminating is None."""
+        ends = self.terminating
+        return not self.enabled(mask) if ends is None else mask in ends
 
     def __repr__(self) -> str:
         return f"EventStructure({self.name!r}, {self._n} events)"

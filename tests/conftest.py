@@ -260,13 +260,9 @@ def renamed_copy(
         for y in es.events[i + 1 :]
         if es.in_conflict(x, y)
     ]
-    policy = es.termination
-    if policy.kind == "explicit":
-        termination = [
-            [names[e] for e in es.events_of_mask(m)] for m in sorted(policy.masks)
-        ]
-    else:
-        termination = policy.kind
+    termination = "maximal"
+    if es.terminating is not None:
+        termination = [[names[e] for e in es.events_of_mask(m)] for m in sorted(es.terminating)]
     return EventStructure(f"{es.name}-renamed", events, causes, conflicts, termination)
 
 

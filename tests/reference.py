@@ -2,8 +2,8 @@
 
 A slow checker for tests to compare both engines against.  It reads a
 structure only through the events, labels, causality, conflict and
-termination policy that ``EventStructure`` declares, and shares no code
-with the engines:
+terminating configurations that ``EventStructure`` declares, and shares
+no code with the engines:
 
 * configurations are the conflict-free, downward-closed event subsets,
   and a transition adds any non-empty set of events (pairwise concurrent
@@ -54,13 +54,12 @@ class _Side:
                 for j in range(self.n)
             )
         ]
-        policy = es.termination
-        if policy.kind == "maximal":
+        if es.terminating is None:
             self.terminating = {
                 m for m in self.configs if not any(d != m and d & m == m for d in self.configs)
             }
         else:
-            self.terminating = set(policy.masks)
+            self.terminating = set(es.terminating)
 
     def events(self, mask: int) -> list[int]:
         return [i for i in range(self.n) if mask >> i & 1]
@@ -279,27 +278,25 @@ def arena(
         a, b = (sides[2], sides[1]) if sw else (sides[1], sides[2])
         if ch is None:
             out = [
-                ("spoiler-challenge-left", (sw, left, right, pairs, ("transition", x, t)))
-                for x, t in challenges(a, left)
+                ("spoiler-challenge-left", (sw, left, right, pairs, x))
+                for x, _ in challenges(a, left)
             ]
             out += [
-                ("spoiler-challenge-right", (not sw, right, left, pairs, ("transition", y, t)))
-                for y, t in challenges(b, right)
+                ("spoiler-challenge-right", (not sw, right, left, pairs, y))
+                for y, _ in challenges(b, right)
             ]
             ends = left in a.terminating
             if branching and ends != (right in b.terminating):
                 turned = (sw, left, right) if ends else (not sw, right, left)
-                out.append(
-                    ("spoiler-termination-challenge", (*turned, pairs, ("termination", 0, 0)))
-                )
+                out.append(("spoiler-termination-challenge", (*turned, pairs, 0)))
             return out
-        if ch[0] == "termination":
+        if ch == 0:  # the termination challenge
             return [
                 ("duplicator-match", (sw, left, d, pairs, None))
                 for d in b.silent_reach(right)
                 if d != right and d in b.terminating
             ]
-        _, x, target = ch
+        x, target = ch, left | ch
         tau = not a.visible(x)
         out = []
         if branching and tau:

@@ -90,7 +90,7 @@ def test_unanswerable_challenge_has_no_moves():
     pp, cc = par(), ch()
     a = build_arena(pp, cc, POMSET_STRONG)
     both = pp.mask_of(["a", "b"])
-    stuck = a.keys.index((False, 0, 0, None, ("transition", both, both)))
+    stuck = a.keys.index((False, 0, 0, None, both))
     assert a.succ[stuck] == ()
     sol = solve(a)
     assert sol.win[0] is Role.SPOILER
@@ -219,7 +219,7 @@ def test_solve_rejects_cyclic_arena():
     the solver reports."""
     es = pa()
     spoiler = (False, 0, 0, None, None)
-    duplicator = (False, 0, 0, None, ("transition", 1, 1))
+    duplicator = (False, 0, 0, None, 1)
     arena = Arena(
         Engine(es, es, POMSET_STRONG),
         [spoiler, duplicator],

@@ -15,6 +15,7 @@ from pesbisim import (
     Flavor,
     MalformedWitnessError,
     Mode,
+    ValidationError,
     check,
     enumerate_matchings,
     game_check,
@@ -60,6 +61,12 @@ BRANCHING_KINDS = tuple(k for k in ALL_KINDS if k.mode is Mode.BRANCHING)
 
 def verdict_map(es1, es2, **kw):
     return {k: check(es1, es2, k, **kw).equivalent for k in ALL_KINDS}
+
+
+def test_kind_parse_rejects_unknown_names():
+    assert BisimulationKind.parse("hp", "branching") == HP_BRANCHING
+    with pytest.raises(ValidationError, match="unknown bisimulation kind"):
+        BisimulationKind.parse("hp", "weak")
 
 
 def test_par_vs_ch_differ_everywhere():
@@ -250,7 +257,8 @@ def test_universe_is_every_matching(pairs):
 def test_universe_enforces_the_positions_cap():
     """Three a events against three have 34 matchings (1 + 9 + 18 + 6): a
     positions cap of 34 holds them, and 33 raises CapExceededError in the
-    oracle and in the hhp game."""
+    oracle and in the hhp game.  Their 8 x 8 = 64 configuration pairs are
+    the pomset and step universe: a cap of 64 holds it, and 63 raises."""
     events = [(f"e{i}", "a") for i in range(3)]
     for mode in Mode:
         hp, hhp = BisimulationKind(Flavor.HP, mode), BisimulationKind(Flavor.HHP, mode)
@@ -262,6 +270,14 @@ def test_universe_enforces_the_positions_cap():
         assert (info.value.cap, info.value.actual) == ("positions", 34)
         with pytest.raises(CapExceededError):
             game_check(a, b, hhp)
+        for flavor in (Flavor.POMSET, Flavor.STEP):
+            kind = BisimulationKind(flavor, mode)
+            a, b = (EventStructure(n, events, caps=Caps(max_positions=64)) for n in "AB")
+            assert check(a, b, kind).equivalent
+            a, b = (EventStructure(n, events, caps=Caps(max_positions=63)) for n in "AB")
+            with pytest.raises(CapExceededError) as info:
+                check(a, b, kind)
+            assert (info.value.cap, info.value.actual) == ("positions", 64)
 
 
 def test_greatest_relation_is_maximal():

@@ -258,6 +258,8 @@ def test_termination_policies():
     )
     assert explicit.terminates_mask(explicit.mask_of(["a"]))
     assert not explicit.terminates_mask(explicit.mask_of(["a", "b"]))
+    with pytest.raises(ValidationError, match="unknown termination policy 'sometimes'"):
+        EventStructure("S", [("a", "a")], termination="sometimes")
 
 
 def test_explicit_termination_must_be_configuration():
@@ -340,6 +342,8 @@ def test_duplicate_event_rejected():
 def test_causality_cycle_rejected():
     with pytest.raises(ValidationError, match="causality cycle"):
         EventStructure("S", [("a", "a"), ("b", "b")], [("a", "b"), ("b", "a")])
+    with pytest.raises(ValidationError, match="causality cycle: 'a' declared as its own cause"):
+        EventStructure("S", [("a", "a")], [("a", "a")])
 
 
 def test_self_conflict_rejected():

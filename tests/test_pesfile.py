@@ -125,6 +125,7 @@ def test_terminating_forms():
     [
         ("", 1, 1, "empty document"),
         ("event a : a\n", 1, 1, "expected 'pes <name>' first"),
+        ("pes X Y\n", 1, 1, "expected 'pes <name>'"),
         ("pes X\npes Y\n", 2, 1, "duplicate 'pes' statement"),
         ("pes X\nevent a\n", 2, 1, "expected 'event <id> : <label>'"),
         ("pes 9bad\n", 1, 5, "invalid structure name"),
@@ -132,6 +133,7 @@ def test_terminating_forms():
         ("pes X\nevent a : a\ncause a < b\n", 3, 11, "undeclared event 'b'"),
         # a form feed is whitespace on its own line, not a line end
         ("pes A\n\f\nevent a : a\ncause a < b\n", 4, 11, "undeclared event 'b'"),
+        ("pes X\nevent a : a\nevent b : b\ncause a b\n", 4, 1, "expected 'cause <id> < <id>'"),
         ("pes X\nevent a : a\nconflict a ! a\n", 3, 1, "expected 'conflict <id> # <id>'"),
         ("pes X\nterminating none\nterminating none\n", 3, 1, "duplicate 'terminating'"),
         ("pes X\nfrob a\n", 2, 1, "unknown statement 'frob'"),
@@ -140,6 +142,7 @@ def test_terminating_forms():
         ("pes X\nterminating { { {x} } }\n", 2, 17, "sets nest at most one level"),
         ("pes X\nevent a : a\nterminating { a }\n", 3, 15, "event name outside a set"),
         ("pes X\nevent a : a\nterminating { {a}\n", 3, 17, "unbalanced '{'"),
+        ("pes X\nterminating { } }\n", 2, 17, "unbalanced '}'"),
         # the sets sit in one outer pair of braces
         ("pes X\nevent a : a\nevent b : b\nterminating { {a} } { {b} }\n", 4, 21, "one outer"),
         ("pes X\nterminating {}{}\n", 2, 15, "only one outer '{ }' pair allowed"),

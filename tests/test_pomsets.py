@@ -210,7 +210,7 @@ def test_weak_extension_with_silent_event_keeps_pairs():
     arena = build_arena(t1, t2, HP_BRANCHING)
     t = t1.mask_of(["t"])
     challenge = _move(arena, 0, "spoiler-challenge-left")
-    assert arena.keys[challenge][4][1] == t
+    assert arena.keys[challenge][4] == t
     _, left, right, pairs, _ = arena.keys[_move(arena, challenge, "duplicator-match")]
     assert (left, pairs, right) == (t, (), t)
 
@@ -235,6 +235,8 @@ def test_invalid_reasons():
     mismatch = (p.mask_of(["a"]), ((0, 1),), p.mask_of(["b"]))
     assert "label mismatch" in matching_fault(p, p, *mismatch, False)
     assert "outside" in matching_fault(s, s, 0, ((0, 0),), 0, False)
+    b = s.event_index("b")  # {b} lacks its cause a
+    assert matching_fault(s, s, 1 << b, (), 0, True) == "matching endpoints are not configurations"
 
 
 def test_verify_witness_rejects_invalid_matching():
