@@ -216,7 +216,7 @@ def build_arena(
     match moves through a table keyed by orientation, left target, right
     configuration and challenge class, each adding its own silent steps."""
     eng = Engine(es1, es2, kind, strong_tau_erasure)
-    branching, es = eng.branching, eng.es
+    branching, es, iso_answers = eng.branching, eng.es, eng.iso_answers
     challenges, answers, iso_class = eng.challenges, eng.answers, eng.iso_class
     keys: list[Key] = [(False, 0, 0, () if kind.posetal else None, None)]
     # The hereditary flavors judge games started at every matching, not just
@@ -286,7 +286,8 @@ def build_arena(
         if found is None:
             absorb = branching and not ch & ~es_l.silent_mask
             targets = [(sw, target, right, pairs, None)] if absorb else []
-            targets += [(sw, target, t, p, None) for t, p in answers(sl, ch, pairs, right)]
+            replies = iso_answers(sr, shared[3], right) if shared else answers(sl, ch, pairs, right)
+            targets += [(sw, target, t, p, None) for t, p in replies]
             names = ("duplicator-absorb-tau",) * absorb + (_MATCH,) * (len(targets) - absorb)
             found = (names, number(targets))
             if shared is not None:

@@ -1,34 +1,39 @@
-"""Greatest-fixpoint computation of the eight bisimilarities.
+"""Greatest bisimulations of the eight kinds.
 
-The oracle starts from the full candidate universe (all configuration
-pairs, or, for hp and hhp, all matchings, grown from the empty one by
-the hp answers below) and removes the keys whose transfer conditions
-fail, in one pass in descending key order.  Configurations only grow,
-and adding an event sets a bit, so the check of a pair key (m1, m2) or a
-matching key (m1, pairs, m2) reads only the key itself, keys with a
-larger m1, and keys with the same m1 and pairs but a larger m2.  Every
-key a check reads besides its own is therefore settled before it, and
-the key itself is taken as alive, as the greatest fixpoint assumes.  The
-hereditary flavors keep an outer loop: demote every matching that has a
-restriction outside the current set (``unclosed``, which reaches the
-restrictions by removing one maximal event at a time), then make one
-more pass, until nothing is demoted.  Hereditary closure reads smaller
-keys, so it cannot join the single pass.  Two structures are equivalent
-exactly when the empty pair (or empty matching) survives.
+Pomset and step transfer conditions read configurations only, so these
+kinds are strong bisimilarity, or branching bisimilarity with explicit
+termination, on the disjoint union of the two configuration graphs, each
+transition labelled by its pomset's class (silent if all its events are).
+Both are equivalences (Basten, IPL 58(3), 1996), so the relation is the
+configuration pairs that share a class.  Strong classes are settled in
+the first pass, supersets first, each the id of its signature, the (label,
+target class) of its moves (Paige and Tarjan, SIAM J. Comput. 16(6),
+1987, acyclic case); branching ones are refined by signatures (Blom and
+Orzan, PDMC 2003) until their count stops growing.
 
-Twins are events of one structure with the same label whose swap keeps
-causality, conflict and the terminating configurations
-(``EventStructure.twin_masks``).  Permuting twins on either side maps
-the greatest relation onto itself, so the pass checks only the largest
-key of each orbit and drops the orbit if that key fails.  An orbit is
-the keys with as many pairs in each pair of twin classes and, per side,
-as many events of each class in the configuration, which with the pairs
-fixes how many of them no pair covers.  Besides its own key, a check
-reads only larger keys, and the largest key of their orbit is larger
-still, hence settled already; hhp demotion checks only those keys too.
+hp and hhp start from every matching of every configuration pair, grown
+from the empty one by the hp answers below, and drop the keys whose
+transfer conditions fail in one pass in descending key order.  The check
+of a key (m1, pairs, m2) reads only itself, keys with a larger m1, and
+keys with the same m1 and pairs but a larger m2, all settled before it;
+the key itself is taken as alive, as the greatest fixpoint assumes.  hhp
+repeats the pass after demoting every matching with a restriction
+outside the current set (``unclosed``, which removes one maximal event
+at a time), until nothing is demoted: hereditary closure reads smaller
+keys.  Two structures are equivalent when the empty key is related.
 
-Transfer conditions, per challenge C1 --X--> C1' of either side (each
-rule is written once and checked for side 1 and for side 2):
+Twins (``EventStructure.twin_masks``) are events of one structure with
+the same label whose swap keeps causality, conflict and termination.
+Permuting them maps the greatest relation onto itself, so the pass
+checks only the largest key of each orbit (the keys with as many pairs
+in each pair of twin classes and, per side, as many events of each
+class) and drops the orbit if it fails.  The other keys a check reads
+are larger, and so are their orbits' largest keys, hence settled; hhp
+demotion checks only those keys.
+
+Transfer conditions, checked key by key in the hp and hhp pass and by
+``verify_witness`` for every kind, per challenge C1 --X--> C1' of either
+side (each rule is written once and checked for side 1 and for side 2):
 
 * strong: some C2 --Y--> C2' with Y isomorphic to X and the successor
   pair in the relation.  Silent labels compare as ordinary labels unless
@@ -40,18 +45,10 @@ rule is written once and checked for side 1 and for side 2):
   (C1',C2') in the relation.  Additionally, a terminating side must be
   answered by a silent-reachable, related, terminating configuration.
 
-Every key has one shape, (first mask, pairs, second mask), with pairs
-None for pomset and step, and one helper checks the transfer conditions
-of either side.  Its challenges are ``Engine.challenges``: single events
-for hp and hhp, transitions otherwise.  Its answers are
-``Engine.answers``: the isomorphic transitions, or the extensions of the
-matching by the answering event (one causal-past mask comparison each),
-or, in branching hp, silent answers to a silent event, keeping the pairs.
-
-The move layer, ``Engine``, ``triple_universe`` and ``unclosed``, is
-public: the games read Spoiler's challenges and Duplicator's matches
-from the same two methods, and demote by the same closure, so both
-decision procedures share one definition of every move.
+Keys are (first mask, pairs, second mask), pairs None for pomset and
+step.  The move layer, ``Engine``, ``triple_universe`` and ``unclosed``,
+is public: the games take their moves from ``Engine`` and demote by the
+same closure, so both decision procedures share every move's definition.
 """
 
 from __future__ import annotations
@@ -151,12 +148,7 @@ class Engine:
         mode a silent event is answered by a silent one, keeping the pairs."""
         o = 3 - side
         if not self.posetal:
-            table = self._iso_answers.get((o, other))
-            if table is None:
-                table = self._iso_answers[o, other] = {}
-                for y, target in self.challenges(o, other):
-                    table.setdefault(self.iso_class(o, y), []).append((target, None))
-            return table.get(self.iso_class(side, x), ())
+            return self.iso_answers(o, self.iso_class(side, x), other)
         es, es_o = self.es[side], self.es[o]
         enabled = es_o.enabled(other)
         if self.branching and x & es.silent_mask:
@@ -175,6 +167,15 @@ class Engine:
             for f in enabled
             if pasts[f] & matched == image and names[f] == name
         )
+
+    def iso_answers(self, side: int, cid: int, mask: int) -> Sequence[tuple[int, None]]:
+        """One side's transitions from mask whose pomset is of class cid, as (target, None)."""
+        table = self._iso_answers.get((side, mask))
+        if table is None:
+            table = self._iso_answers[side, mask] = {}
+            for y, target in self.challenges(side, mask):
+                table.setdefault(self.iso_class(side, y), []).append((target, None))
+        return table.get(cid, ())
 
     def iso_class(self, side: int, mask: int) -> int:
         """The isomorphism class id of a pomset of one side, silent events
@@ -198,16 +199,32 @@ class Engine:
 
 
 # ----------------------------------------------------------------------
-# candidate universes
+# pomset and step classes, hp and hhp candidates
 
 
-def _pair_universe(eng: Engine) -> list[Key]:
-    masks1 = eng.es1.configurations()
-    masks2 = eng.es2.configurations()
-    total = len(masks1) * len(masks2)
-    if total > eng.caps.max_positions:
+def _same_class_pairs(eng: Engine) -> frozenset[Key]:
+    """The configuration pairs that share a class.  Each round numbers the configurations,
+    supersets first, by last class and signature (None in it marks termination)."""
+    masks = (None, eng.es1.configurations(), eng.es2.configurations())
+    if (total := len(masks[1]) * len(masks[2])) > eng.caps.max_positions:
         raise CapExceededError("positions", eng.caps.max_positions, total)
-    return [(m1, None, m2) for m1 in masks1 for m2 in masks2]
+    nodes = [(s, m) for s in (1, 2) for m in reversed(masks[s])]  # a superset is a larger mask
+    tau = eng.iso_class(1, 0) if eng.branching else None  # the erased class of a silent move
+    moves = {n: [(eng.iso_class(n[0], x), (n[0], t)) for x, t in eng.challenges(*n)] for n in nodes}
+    old, new = {}, dict.fromkeys(nodes, 0)
+    while new != old:  # classes are numbered in visiting order: a stable partition repeats
+        old, ids, new, sigs = new, {}, {}, {}  # signature ids, and each node's class, signature
+        for node in nodes:
+            sig = {None} if eng.branching and eng.es[node[0]].terminates_mask(node[1]) else set()
+            for label, target in moves[node]:
+                if label == tau and old[target] == old[node]:  # inert: take the target's
+                    sig |= sigs[target]
+                else:
+                    sig.add((label, new[target]))
+            sigs[node] = sig = frozenset(sig)
+            new[node] = ids.setdefault((old[node], sig), len(ids))
+    right = [(m2, new[2, m2]) for m2 in masks[2]]
+    return frozenset((m1, None, m2) for m1 in masks[1] for m2, c in right if c == new[1, m1])
 
 
 def triple_universe(eng: Engine) -> list[Key]:
@@ -351,7 +368,7 @@ def _orbits(eng: Engine, universe: list[Key]) -> tuple[list[Key], dict[Key, list
     orbits: dict[tuple, list[Key]] = {}
     for key in universe:
         m1, pairs, m2 = key
-        matched = sum(map(weight.__getitem__, pairs or ()))
+        matched = sum(map(weight.__getitem__, pairs))
         orbits.setdefault((matched, counts1[m1], counts2[m2]), []).append(key)
     by_rep = {orbit[-1]: orbit for orbit in orbits.values()}
     return sorted(by_rep), by_rep
@@ -378,7 +395,9 @@ def greatest_bisimulation(
 ) -> Relation:
     """The largest relation closed under the kind's transfer conditions."""
     eng = Engine(es1, es2, kind, strong_tau_erasure)
-    universe = triple_universe(eng) if kind.posetal else _pair_universe(eng)
+    if not kind.posetal:
+        return Relation(es1, es2, kind, _same_class_pairs(eng))
+    universe = triple_universe(eng)
     alive: set[Key] = set(universe)
     reps, orbits = _orbits(eng, universe)
     _prune(eng, reps, orbits, alive)

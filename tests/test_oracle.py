@@ -405,8 +405,9 @@ def _naive_greatest(es1, es2, kind, strong_tau_erasure):
         random_pairs(52, 80, max_events=5),
         twin_rich_pairs(5),
         random_pairs(53, 40, max_events=5, alphabet="a", termination=True),
+        random_pairs(54, 40, max_events=5, tau_prob=0.5, termination=True),
     ],
-    ids=["fixtures", "one-label", "mixed", "twins", "one-label-termination"],
+    ids=["fixtures", "one-label", "mixed", "twins", "one-label-termination", "silent-termination"],
 )
 def test_single_pass_matches_naive_fixpoint(pairs):
     for es1, es2 in pairs:
@@ -415,3 +416,26 @@ def test_single_pass_matches_naive_fixpoint(pairs):
                 rel = greatest_bisimulation(es1, es2, kind, strong_tau_erasure=erase)
                 want = _naive_greatest(es1, es2, kind, erase)
                 assert rel.keys == want, (es1.name, es2.name, kind)
+
+
+def test_pomset_and_step_skip_the_per_key_checks(monkeypatch):
+    """The oracle decides pomset and step by classes of the configuration
+    graphs and never runs the per-key transfer checks; verify_witness
+    still runs them on the relation it returns."""
+    calls = []
+    side_ok = oracle._side_ok
+
+    def counted(*args):
+        calls.append(args)
+        return side_ok(*args)
+
+    monkeypatch.setattr(oracle, "_side_ok", counted)
+    for a, b in ((seq(), seq()), (tau(), pa())):
+        for kind in ALL_KINDS:
+            if kind.posetal:
+                continue
+            check(a, b, kind)
+            relation = greatest_bisimulation(a, b, kind)
+            assert relation.keys and not calls, kind
+            assert verify_witness(a, b, kind, relation) and calls, kind
+            calls.clear()
