@@ -216,6 +216,7 @@ def build_arena(
     match moves through a table keyed by orientation, left target, right
     configuration and challenge class, each adding its own silent steps."""
     eng = Engine(es1, es2, kind, strong_tau_erasure)
+    es1.configurations(), es2.configurations()  # the configurations cap applies
     branching, es, iso_answers = eng.branching, eng.es, eng.iso_answers
     challenges, answers, iso_class = eng.challenges, eng.answers, eng.iso_class
     keys: list[Key] = [(False, 0, 0, () if kind.posetal else None, None)]

@@ -3,13 +3,16 @@
 Pomset and step transfer conditions read configurations only, so these
 kinds are strong bisimilarity, or branching bisimilarity with explicit
 termination, on the disjoint union of the two configuration graphs, each
-transition labelled by its pomset's class (silent if all its events are).
-Both are equivalences (Basten, IPL 58(3), 1996), so the relation is the
-configuration pairs that share a class.  Strong classes are settled in
-the first pass, supersets first, each the id of its signature, the (label,
-target class) of its moves (Paige and Tarjan, SIAM J. Comput. 16(6),
-1987, acyclic case); branching ones are refined by signatures (Blom and
-Orzan, PDMC 2003) until their count stops growing.
+transition labelled by its pomset's class (silent if all its events are):
+an antichain's class is read off its signature (``pomsets.signature``),
+and any other pomset is confirmed by ``iso_masks`` against the classes
+that share its signature.  Both are equivalences (Basten, IPL 58(3),
+1996), so the relation is the configuration pairs that share a class.
+Strong classes are settled in one pass, supersets first, each the id of
+its own signature, the (label, target class) of its moves (Paige and
+Tarjan, SIAM J. Comput. 16(6), 1987, acyclic case); branching ones are
+refined by signatures (Blom and Orzan, PDMC 2003) until their count
+stops growing.
 
 hp and hhp start from every matching of every configuration pair, grown
 from the empty one by the hp answers below, and drop the keys whose
@@ -180,15 +183,18 @@ class Engine:
     def iso_class(self, side: int, mask: int) -> int:
         """The isomorphism class id of a pomset of one side, silent events
         erased first when erase is set: the index, among the masks of
-        either side classified so far, of the first one isomorphic to it."""
+        either side classified so far, of the first one isomorphic to it.
+        Antichains with one signature are isomorphic, so need no search."""
         es = self.es[side]
         if self.erase:
             mask &= ~es.silent_mask
         cid = self._classes.get((side, mask))
         if cid is None:
-            reps = self._class_reps.setdefault(signature(es, mask), [])
+            sig = signature(es, mask)
+            reps = self._class_reps.setdefault(sig, [])
+            antichain = all(below == above == 1 for _, below, above in sig)
             for rep, rep_side, rep_mask in reps:
-                if iso_masks(self.es[rep_side], rep_mask, es, mask):
+                if antichain or iso_masks(self.es[rep_side], rep_mask, es, mask):
                     cid = rep
                     break
             else:
@@ -223,8 +229,12 @@ def _same_class_pairs(eng: Engine) -> frozenset[Key]:
                     sig.add((label, new[target]))
             sigs[node] = sig = frozenset(sig)
             new[node] = ids.setdefault((old[node], sig), len(ids))
-    right = [(m2, new[2, m2]) for m2 in masks[2]]
-    return frozenset((m1, None, m2) for m1 in masks[1] for m2, c in right if c == new[1, m1])
+        if not eng.branching:  # no strong move is inert, so the first round is final
+            break
+    right: dict[int, list[int]] = {}  # the configurations of es2 by class
+    for m2 in masks[2]:
+        right.setdefault(new[2, m2], []).append(m2)
+    return frozenset((m1, None, m2) for m1 in masks[1] for m2 in right.get(new[1, m1], ()))
 
 
 def triple_universe(eng: Engine) -> list[Key]:

@@ -329,21 +329,20 @@ class EventStructure:
 
     def transition_masks(self, mask: int, step: bool) -> tuple[tuple[int, int], ...]:
         """(pomset mask, target mask) pairs of the outgoing transitions,
-        ordered by target mask."""
+        ordered by target mask.  Events enabled together are never ordered,
+        so a step is a non-empty, conflict-free set of enabled events."""
         key = (mask, step)
         cached = self._trans_cache.get(key)
         if cached is None:
-            out = []
-            past = self._below
-            for target in self.configurations():
-                if target != mask and target & mask == mask:
-                    x = target & ~mask
-                    # x is conflict-free, so a step needs no causality within it
-                    if step and any(past[i] & x != 1 << i for i in bits(x)):
-                        continue
-                    out.append((x, target))
-            cached = tuple(out)
-            self._trans_cache[key] = cached
+            if step:
+                steps, conflict = [0], self._conflict
+                for e in self.enabled(mask):  # ascending, so each new step is larger
+                    steps += [x | 1 << e for x in steps if not conflict[e] & x]
+                out = [(x, mask | x) for x in steps[1:]]
+            else:
+                configs = self.configurations()
+                out = [(t & ~mask, t) for t in configs if t != mask and t & mask == mask]
+            cached = self._trans_cache[key] = tuple(out)
         return cached
 
     def tau_reachable_masks(self, mask: int) -> tuple[int, ...]:

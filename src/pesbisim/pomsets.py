@@ -6,11 +6,14 @@ when a bijection preserves labels and order in both directions.  A
 matching is such a bijection between two configuration masks, either over
 all events (strong) or over the visible events of each side (weak), held
 as its (index in es1, index in es2) pairs sorted by first index: the
-middle of an engine key (mask1, pairs, mask2).  One backtracking search
-over label-respecting bijections, grown by ``extends``, serves both the
-isomorphism test and the enumeration of matchings.  The engines do not
-call ``extends``: they extend matchings by enabled events only, where one
-causal-past mask comparison decides.
+middle of an engine key (mask1, pairs, mask2).  An event's key in a
+pomset is its label and the numbers of the pomset's events below and
+above it; isomorphisms keep keys, so the sorted keys (``signature``) are
+an invariant.  One backtracking search, grown by ``extends``, serves the
+isomorphism test and the enumeration of matchings: it assigns one side's
+events in key order, each to an unused event of the other with the same
+key.  The engines do not call ``extends``: they extend matchings by
+enabled events only, where one causal-past mask comparison decides.
 """
 
 from __future__ import annotations
@@ -36,39 +39,50 @@ def extends(
     return True
 
 
-def _bijections(
-    es1: EventStructure, idx1: list[int], es2: EventStructure, idx2: list[int]
-) -> Iterator[Pairs]:
-    """Label- and order-preserving bijections from idx1 onto idx2, lists
-    of equal length, each as (i, j) pairs in idx1 order, found by
-    backtracking."""
+def _keys(es: EventStructure, mask: int) -> tuple[list[int], list[tuple[str, int, int]]]:
+    """The events of the mask, ascending, and the key of each: its label and
+    the numbers of events of the mask below and above it, itself included."""
+    labels, past, future = es.labels, es.past_masks, es.future_masks
+    events = bits(mask)
+    return events, [
+        (labels[i], (past[i] & mask).bit_count(), (future[i] & mask).bit_count()) for i in events
+    ]
+
+
+def signature(es: EventStructure, mask: int) -> tuple[tuple[str, int, int], ...]:
+    """An isomorphism invariant of the pomset on the event mask: the
+    sorted keys of its events (label, events below, events above)."""
+    return tuple(sorted(_keys(es, mask)[1]))
+
+
+def _bijections(es1: EventStructure, m1: int, es2: EventStructure, m2: int) -> Iterator[Pairs]:
+    """Label- and order-preserving bijections from the events of mask m1
+    onto those of m2, each as (i, j) pairs sorted by i, found by
+    backtracking: m1's events are assigned in key order (see signature),
+    each to an unused event of m2 with the same key."""
+    if m1.bit_count() != m2.bit_count():
+        return
+    (events1, keys1), (events2, keys2) = _keys(es1, m1), _keys(es2, m2)
+    if sorted(keys1) != sorted(keys2):
+        return
+    same: dict[tuple[str, int, int], list[int]] = {}
+    for key, j in zip(keys2, events2):
+        same.setdefault(key, []).append(j)
+    order = [(i, same[key]) for key, i in sorted(zip(keys1, events1))]
     pairs: list[tuple[int, int]] = []
 
     def backtrack(pos: int, used: int) -> Iterator[Pairs]:
-        if pos == len(idx1):
-            yield tuple(pairs)
+        if pos == len(order):
+            yield tuple(sorted(pairs))
             return
-        i = idx1[pos]
-        for j in idx2:
+        i, candidates = order[pos]
+        for j in candidates:
             if not used >> j & 1 and extends(es1, es2, pairs, i, j):
                 pairs.append((i, j))
                 yield from backtrack(pos + 1, used | 1 << j)
                 pairs.pop()
 
     yield from backtrack(0, 0)
-
-
-def signature(es: EventStructure, mask: int) -> tuple[tuple[str, int, int], ...]:
-    """An isomorphism invariant of the pomset on the event mask: the
-    sorted (label, events below, events above) of each event, itself
-    counted in both."""
-    labels, past, future = es.labels, es.past_masks, es.future_masks
-    return tuple(
-        sorted(
-            (labels[i], (past[i] & mask).bit_count(), (future[i] & mask).bit_count())
-            for i in bits(mask)
-        )
-    )
 
 
 def iso_masks(
@@ -78,9 +92,7 @@ def iso_masks(
     mask2: int,
 ) -> bool:
     """Whether the pomsets on two event masks are isomorphic, silent events included."""
-    if mask1.bit_count() != mask2.bit_count() or signature(es1, mask1) != signature(es2, mask2):
-        return False
-    return next(_bijections(es1, bits(mask1), es2, bits(mask2)), None) is not None
+    return next(_bijections(es1, mask1, es2, mask2), None) is not None
 
 
 def matching_fault(
@@ -127,8 +139,6 @@ def enumerate_matchings(
     """The pairs of every matching between two configuration masks, each
     sorted by first index, in ascending order; weak matchings cover the
     visible events only."""
-    dom = bits(mask1 & ~es1.silent_mask if weak else mask1)
-    cod = bits(mask2 & ~es2.silent_mask if weak else mask2)
-    if len(dom) != len(cod):
-        return ()
+    dom = mask1 & ~es1.silent_mask if weak else mask1
+    cod = mask2 & ~es2.silent_mask if weak else mask2
     return tuple(sorted(_bijections(es1, dom, es2, cod)))

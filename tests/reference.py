@@ -9,7 +9,7 @@ no code with the engines:
   and a transition adds any non-empty set of events (pairwise concurrent
   ones for step) that leaves a configuration;
 * pomset isomorphisms and matchings are found by trying every
-  permutation;
+  label-preserving permutation;
 * a transfer condition asks for an answering key in the relation, which
   holds only valid matchings, so an hp answer is any event whose pair
   extends the matching to one that is still related;
@@ -92,20 +92,32 @@ class _Side:
 
 def _bijections(s1: _Side, ev1: list[int], s2: _Side, ev2: list[int]):
     """Every label- and order-preserving bijection from ev1 onto ev2, as
-    sorted (index in s1, index in s2) pairs."""
-    if len(ev1) != len(ev2):
+    sorted (index in s1, index in s2) pairs: the events of ev1 of each
+    label are paired with those of ev2 of the same label in every order."""
+    names = sorted(s1.labels[a] for a in ev1)
+    if len(ev1) != len(ev2) or names != sorted(s2.labels[b] for b in ev2):
         return
-    for perm in itertools.permutations(ev2):
-        pairs = list(zip(ev1, perm))
-        if all(s1.labels[a] == s2.labels[b] for a, b in pairs) and all(
-            s1.leq[a][c] == s2.leq[b][d] for a, b in pairs for c, d in pairs
-        ):
+    groups = [
+        ([a for a in ev1 if s1.labels[a] == name], [b for b in ev2 if s2.labels[b] == name])
+        for name in dict.fromkeys(names)
+    ]
+    for perms in itertools.product(*(itertools.permutations(to) for _, to in groups)):
+        pairs = [p for (fro, _), perm in zip(groups, perms) for p in zip(fro, perm)]
+        if all(s1.leq[a][c] == s2.leq[b][d] for a, b in pairs for c, d in pairs):
             yield tuple(sorted(pairs))
 
 
 def _iso(s1: _Side, x1: int, s2: _Side, x2: int, erase: bool) -> bool:
     pick1, pick2 = (s1.visible, s2.visible) if erase else (s1.events, s2.events)
     return next(_bijections(s1, pick1(x1), s2, pick2(x2)), None) is not None
+
+
+def isomorphic(es1: EventStructure, es2: EventStructure, erase: bool):
+    """Pomset isomorphism of event masks of es1 (side 1) and es2 (side 2),
+    as a function of (side, mask, side, mask); silent events are erased
+    first when erase is set."""
+    sides = (None, _Side(es1), _Side(es2))
+    return lambda a, x, b, y: _iso(sides[a], x, sides[b], y, erase)
 
 
 def hereditary(s1: _Side, s2: _Side, branching: bool, key, rel) -> bool:

@@ -155,6 +155,18 @@ def test_matching_universe_cap_exits_three(capsys):
     assert "positions limit is 19, needed 20" in err
 
 
+@pytest.mark.parametrize("rel", ["pomset", "step", "hp", "hhp"])
+@pytest.mark.parametrize("mode", ["strong", "branching"])
+def test_game_enforces_the_configurations_cap(rel, mode, tmp_path, capsys):
+    # seven concurrent events have 128 configurations, whatever moves the game reads
+    par7 = tmp_path / "par7.pes"
+    par7.write_text("pes PAR7\n" + "".join(f"event e{i} : {'ab'[i % 2]}\n" for i in range(7)))
+    argv = ["check", "--rel", rel, "--mode", mode, "--engine", "game"]
+    code, out, err = run_main(capsys, argv + ["--max-configurations", "100", str(par7), str(par7)])
+    assert (code, out) == (3, "")
+    assert "configurations limit is 100" in err
+
+
 @pytest.mark.parametrize(
     "options, err",
     [

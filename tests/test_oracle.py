@@ -352,17 +352,46 @@ def _same_signature_pair():
 )
 def test_iso_classes_match_iso_masks(pairs):
     """Two event subsets, of different sides or of one side, get the same
-    class id exactly when iso_masks finds them isomorphic."""
+    class id exactly when iso_masks finds them isomorphic, and so does the
+    reference, which tries every label-preserving permutation."""
     for es1, es2 in pairs:
         sides = {1: es1, 2: es2}
         for erase in (False, True):
             eng = Engine(es1, es2, POMSET_STRONG, strong_tau_erasure=erase)
+            isomorphic = reference.isomorphic(es1, es2, erase)
             for a, b in ((1, 2), (1, 1), (2, 2)):
                 for x in range(1 << len(sides[a].events)):
                     for y in range(1 << len(sides[b].events)):
                         same = eng.iso_class(a, x) == eng.iso_class(b, y)
                         iso = iso_after_erasure(sides[a], x, sides[b], y, erase)
-                        assert same == iso, (a, x, b, y)
+                        assert same == iso == isomorphic(a, x, b, y), (a, x, b, y)
+
+
+def test_antichains_and_steps_are_classified_without_a_search(monkeypatch):
+    """Every step, and every pomset of an antichain, gets its class from its
+    signature alone; pomsets with a signature another class shares are
+    still confirmed by iso_masks."""
+    searches = []
+    iso_masks = oracle.iso_masks
+
+    def counted(*args):
+        searches.append(args)
+        return iso_masks(*args)
+
+    monkeypatch.setattr(oracle, "iso_masks", counted)
+    steps = [kind for kind in ALL_KINDS if kind.flavor is Flavor.STEP]
+    corpus = [(kind, pair) for kind in steps for pair in fixture_pairs()]
+    corpus.append((POMSET_STRONG, (antichain(5), antichain(5, ("a", "b")))))
+    for kind, (es1, es2) in corpus:
+        eng = Engine(es1, es2, kind)
+        for side, es in ((1, es1), (2, es2)):
+            for mask in es.configurations():
+                for x, _ in eng.challenges(side, mask):
+                    eng.iso_class(side, x)
+    assert not searches
+    es1, es2 = _same_signature_pair()
+    eng = Engine(es1, es2, POMSET_STRONG)
+    assert eng.iso_class(1, es1.full_mask) != eng.iso_class(2, es2.full_mask) and searches
 
 
 def _naive_greatest(es1, es2, kind, strong_tau_erasure):

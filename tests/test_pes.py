@@ -184,14 +184,14 @@ def brute_transitions(es: EventStructure, mask: int, step: bool):
 
 
 def test_transitions_match_brute_force():
+    """The same transitions, ordered by target mask: arena move order reads it."""
     rng = random.Random(13)
     for _ in range(80):
         es, *_ = build_pair(rng)
         for mask in es.configuration_masks():
             for step in (False, True):
-                assert set(es.transition_masks(mask, step)) == brute_transitions(
-                    es, mask, step
-                )
+                want = sorted(brute_transitions(es, mask, step), key=lambda t: t[1])
+                assert es.transition_masks(mask, step) == tuple(want)
 
 
 def added_events(es: EventStructure, mask: int, step: bool) -> set[tuple[str, ...]]:
