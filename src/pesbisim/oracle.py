@@ -62,7 +62,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceededError, MalformedWitnessError
 from .kinds import BisimulationKind, Flavor
 from .pes import EventStructure, bits
-from .pomsets import Pairs, iso_masks, matching_fault, signature
+from .pomsets import Pairs, iso_masks, matching_fault, past_image, signature
 from .pomsets import enumerate_matchings  # noqa: F401  perfbench/tracing.py wraps this name
 
 Key = tuple[int, Pairs | None, int]
@@ -103,7 +103,8 @@ class Engine:
     """The moves of one structure pair under one kind, per side (1 or 2):
     Spoiler's challenges, Duplicator's answers and pomset isomorphism
     classes.  es[side] is the structure of a side, whose enabled events,
-    silent reachability and termination the callers read directly.
+    silent reachability and termination the callers read directly, and
+    caps is that of the two structures' caps with fewer max_positions.
     strong_tau_erasure acts on strong pomset and step only."""
 
     def __init__(
@@ -116,7 +117,7 @@ class Engine:
         self.es1 = es1
         self.es2 = es2
         self.kind = kind
-        self.caps = es1.caps
+        self.caps = min(es1.caps, es2.caps, key=lambda caps: caps.max_positions)
         self.strong_tau_erasure = strong_tau_erasure
         self.posetal = kind.posetal
         self.step = kind.step_moves
@@ -158,15 +159,12 @@ class Engine:
             return [(other | 1 << f, pairs) for f in enabled if es_o.silent_mask >> f & 1]
         # e and each answer f are enabled, so maximal once added: (e, f) may join
         # the pairs iff the labels agree and f's matched past is the image of e's.
-        e, a = x.bit_length() - 1, side - 1
-        past, image = es.past_masks[e], 0
-        for p in pairs:
-            if past >> p[a] & 1:
-                image |= 1 << p[1 - a]
+        e = x.bit_length() - 1
+        image = past_image(es.past_masks[e], pairs, side)
         matched = other & ~es_o.silent_mask if self.branching else other
         name, names, pasts = es.labels[e], es_o.labels, es_o.past_masks
         return (
-            (other | 1 << f, tuple(sorted(pairs + (((e, f) if a == 0 else (f, e)),))))
+            (other | 1 << f, tuple(sorted(pairs + (((e, f) if side == 1 else (f, e)),))))
             for f in enabled
             if pasts[f] & matched == image and names[f] == name
         )

@@ -6,15 +6,15 @@ are configurations: finite event sets that are conflict-free and downward
 closed under causality.  A label is a plain name; the name ``tau`` is
 reserved for silent events.
 
-Construction validates the declarations, closes causality and conflict
-into per-event bitmasks and keeps the terminating configurations as the
-plain value ``terminating``.  Events are indexed by declaration order;
-configurations and the event sets that transitions add are bitmasks
-over those indices, and ``configurations`` lists the former in ascending
-mask order, their canonical order.  The engines read every
-move through the mask-level methods (``enabled``, ``transition_masks``,
-``tau_reachable_masks``, ``terminates_mask``), which cache their answers
-per mask; ``format_mask`` caches the event names of each mask as text.
+Construction validates the declarations, closes causality (one Warshall
+pass, kept as the attributes ``past_masks`` and ``future_masks``) and
+conflict into per-event bitmasks, and keeps the terminating configurations
+as the plain value ``terminating``.  Events are indexed by declaration
+order; configurations and the event sets that transitions add are bitmasks
+over those indices.  The engines read every move through the mask-level
+methods (``enabled``, ``transition_masks``, ``tau_reachable_masks``,
+``terminates_mask``), which cache their answers per mask; ``format_mask``
+caches the event names of each mask as text.
 A cache entry never changes once written, so instances are safe to share
 across threads.
 """
@@ -65,9 +65,11 @@ class EventStructure:
     conflict.  Causality is closed reflexively and transitively, conflict
     symmetrically and hereditarily.  termination is 'maximal', 'none', or
     an iterable of event-id sets naming the terminating configurations.
-    The labels attribute holds the label name of each event index, and
-    terminating the frozenset of the terminating configurations' masks
-    ('none' is the empty one), or None when the maximal ones terminate.
+    Per event index, events holds its id, labels its label name, and
+    past_masks and future_masks its causal past and future (itself
+    included) as masks; terminating is the frozenset of the terminating
+    configurations' masks ('none' is the empty one), or None when the
+    maximal ones terminate.
     """
 
     def __init__(
@@ -90,7 +92,7 @@ class EventStructure:
             seen.add(e)
         self.name = name
         self.caps = caps
-        self._events: tuple[str, ...] = tuple(ids)
+        self.events: tuple[str, ...] = tuple(ids)
         self.labels: tuple[str, ...] = tuple(lbl for _, lbl in events)
         self._index: dict[str, int] = {e: i for i, e in enumerate(ids)}
         n = len(ids)
@@ -101,32 +103,23 @@ class EventStructure:
             if lbl == SILENT_LABEL:
                 self.silent_mask |= 1 << i
 
-        pred = [0] * n  # declared immediate causes
+        below = [1 << i for i in range(n)]  # below[i] = mask of j with e_j <= e_i, including i
         for c, e in causes:
             ic, ie = self._resolve(c), self._resolve(e)
             if ic == ie:
                 raise ValidationError(f"causality cycle: {c!r} declared as its own cause")
-            pred[ie] |= 1 << ic
-        below = [0] * n  # below[i] = mask of j with e_j <= e_i, including i
-        for i in range(n):
-            reach = 1 << i
-            stack = [i]
-            while stack:
-                k = stack.pop()
-                new = pred[k] & ~reach
-                reach |= new
-                stack.extend(bits(new))
-            below[i] = reach
+            below[ie] |= 1 << ic
+        for k in range(n):  # Warshall: every event whose past holds k takes k's past
+            for i in range(n):
+                if below[i] >> k & 1:
+                    below[i] |= below[k]
         for i in range(n):
             for j in bits(below[i]):
                 if j != i and below[j] >> i & 1:
                     raise ValidationError(
                         f"causality cycle involving {ids[i]!r} and {ids[j]!r}"
                     )
-        above = [0] * n
-        for i in range(n):
-            for j in bits(below[i]):
-                above[j] |= 1 << i
+        above = [sum(1 << i for i in range(n) if below[i] >> j & 1) for j in range(n)]
 
         conflict = [0] * n
         declared_conflicts = list(conflicts)
@@ -158,8 +151,8 @@ class EventStructure:
                     f"are in conflict but share the causal successor {ids[i]!r}"
                 )
 
-        self._below = tuple(below)
-        self._above = tuple(above)
+        self.past_masks: tuple[int, ...] = tuple(below)
+        self.future_masks: tuple[int, ...] = tuple(above)
         self._conflict = tuple(conflict)
 
         if termination == "maximal":
@@ -198,10 +191,6 @@ class EventStructure:
     # ------------------------------------------------------------------
     # basic views
 
-    @property
-    def events(self) -> tuple[str, ...]:
-        return self._events
-
     def label(self, event: str) -> str:
         return self.labels[self._resolve(event)]
 
@@ -215,7 +204,7 @@ class EventStructure:
         return m
 
     def events_of_mask(self, mask: int) -> tuple[str, ...]:
-        return tuple(self._events[i] for i in bits(mask))
+        return tuple(self.events[i] for i in bits(mask))
 
     def format_mask(self, mask: int) -> str:
         text = self._format_cache.get(mask)
@@ -227,17 +216,7 @@ class EventStructure:
     # derived relations
 
     def leq(self, e1: str, e2: str) -> bool:
-        return bool(self._below[self._resolve(e2)] >> self._resolve(e1) & 1)
-
-    @property
-    def past_masks(self) -> tuple[int, ...]:
-        """Per event index, the mask of its causal past, itself included."""
-        return self._below
-
-    @property
-    def future_masks(self) -> tuple[int, ...]:
-        """Per event index, the mask of its causal future, itself included."""
-        return self._above
+        return bool(self.past_masks[self._resolve(e2)] >> self._resolve(e1) & 1)
 
     @property
     def twin_masks(self) -> tuple[int, ...]:
@@ -247,7 +226,7 @@ class EventStructure:
         permutation within the classes is an automorphism of the structure."""
         if self._twin_masks is None:  # a cached_property's __dict__ would slow every read
             every = range(self._n)
-            own = [(self.labels[e], self._below[e] ^ 1 << e) for e in every]  # strict past
+            own = [(self.labels[e], self.past_masks[e] ^ 1 << e) for e in every]  # strict past
             self._twin_masks = tuple(
                 sum(1 << j for j in every if own[j] == own[i] and (j == i or self._twins(i, j)))
                 for i in every
@@ -259,7 +238,8 @@ class EventStructure:
         keeps their futures, conflicts and the terminating configurations."""
         both = 1 << i | 1 << j
         ends = self.terminating or ()
-        differ = (self._above[i] ^ self._above[j] | self._conflict[i] ^ self._conflict[j]) & ~both
+        above, conflict = self.future_masks, self._conflict
+        differ = (above[i] ^ above[j] | conflict[i] ^ conflict[j]) & ~both
         return not differ and all((m ^ both if (m >> i ^ m >> j) & 1 else m) in ends for m in ends)
 
     def in_conflict(self, e1: str, e2: str) -> bool:
@@ -267,7 +247,7 @@ class EventStructure:
 
     def concurrent(self, e1: str, e2: str) -> bool:
         i, j = self._resolve(e1), self._resolve(e2)
-        return not (self._below[i] >> j | self._below[j] >> i | self._conflict[i] >> j) & 1
+        return not (self.past_masks[i] >> j | self.past_masks[j] >> i | self._conflict[i] >> j) & 1
 
     # ------------------------------------------------------------------
     # configurations
@@ -276,7 +256,7 @@ class EventStructure:
         if mask & ~self.full_mask:
             return False
         for i in bits(mask):
-            if self._below[i] & ~mask:
+            if self.past_masks[i] & ~mask:
                 return False
             if self._conflict[i] & mask:
                 return False
@@ -291,7 +271,7 @@ class EventStructure:
             for e in range(self._n):
                 if mask >> e & 1:
                     continue
-                if self._below[e] & ~(mask | 1 << e):
+                if self.past_masks[e] & ~(mask | 1 << e):
                     continue
                 if self._conflict[e] & mask:
                     continue
@@ -300,21 +280,26 @@ class EventStructure:
             self._enabled_cache[mask] = cached
         return cached
 
+    def _walk(self, mask: int, allowed: int, limit: float = float("inf")) -> set[int]:
+        """The configurations reached from mask by adding enabled events of the
+        mask allowed, mask included; CapExceededError if more than limit."""
+        seen = {mask}
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for e in self.enabled(m):
+                m2 = m | 1 << e
+                if allowed >> e & 1 and m2 not in seen:
+                    if len(seen) >= limit:
+                        raise CapExceededError("configurations", limit, len(seen) + 1)
+                    seen.add(m2)
+                    stack.append(m2)
+        return seen
+
     def configurations(self) -> tuple[int, ...]:
-        """All configuration masks, ascending."""
+        """All configuration masks, ascending: their canonical order."""
         if self._config_masks is None:
-            masks = {0}
-            stack = [0]
-            limit = self.caps.max_configurations
-            while stack:
-                m = stack.pop()
-                for e in self.enabled(m):
-                    m2 = m | 1 << e
-                    if m2 not in masks:
-                        if len(masks) >= limit:
-                            raise CapExceededError("configurations", limit, len(masks) + 1)
-                        masks.add(m2)
-                        stack.append(m2)
+            masks = self._walk(0, self.full_mask, self.caps.max_configurations)
             self._config_masks = frozenset(masks)
             self._sorted_masks = tuple(sorted(masks))
         return self._sorted_masks
@@ -350,18 +335,7 @@ class EventStructure:
         given one included, in ascending mask order."""
         cached = self._tau_cache.get(mask)
         if cached is None:
-            seen = {mask}
-            stack = [mask]
-            while stack:
-                m = stack.pop()
-                for e in self.enabled(m):
-                    if self.silent_mask >> e & 1:
-                        m2 = m | 1 << e
-                        if m2 not in seen:
-                            seen.add(m2)
-                            stack.append(m2)
-            cached = tuple(sorted(seen))
-            self._tau_cache[mask] = cached
+            cached = self._tau_cache[mask] = tuple(sorted(self._walk(mask, self.silent_mask)))
         return cached
 
     def terminates_mask(self, mask: int) -> bool:

@@ -9,34 +9,33 @@ as its (index in es1, index in es2) pairs sorted by first index: the
 middle of an engine key (mask1, pairs, mask2).  An event's key in a
 pomset is its label and the numbers of the pomset's events below and
 above it; isomorphisms keep keys, so the sorted keys (``signature``) are
-an invariant.  One backtracking search, grown by ``extends``, serves the
-isomorphism test and the enumeration of matchings: it assigns one side's
-events in key order, each to an unused event of the other with the same
-key.  The engines do not call ``extends``: they extend matchings by
-enabled events only, where one causal-past mask comparison decides.
+an invariant.  One backtracking search serves the isomorphism test and
+the enumeration of matchings: it assigns one side's events in causal
+order, each to an unused event of the other with the same key, so an
+event's past is matched before it and one comparison per candidate keeps
+the order both ways: the candidate's past among the matched events is
+the image (``past_image``) of the event's.  The engines extend matchings
+by enabled events with the same comparison.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .pes import EventStructure, bits
 
 Pairs = tuple[tuple[int, int], ...]
 
 
-def extends(
-    es1: EventStructure, es2: EventStructure, pairs: Sequence[tuple[int, int]], i: int, j: int
-) -> bool:
-    """Whether the pair set can absorb (i in es1, j in es2): the labels
-    agree and i, j order the same way against every existing pair."""
-    if es1.labels[i] != es2.labels[j]:
-        return False
-    past1, past2 = es1.past_masks, es2.past_masks
-    for a, b in pairs:
-        if (past1[i] >> a ^ past2[j] >> b | past1[a] >> i ^ past2[b] >> j) & 1:
-            return False
-    return True
+def past_image(past: int, pairs: Pairs, side: int) -> int:
+    """The mask of the partners of the paired events in past, a mask of
+    side 1 or 2's events; pairs are (es1 index, es2 index) pairs."""
+    a = side - 1
+    image = 0
+    for p in pairs:
+        if past >> p[a] & 1:
+            image |= 1 << p[1 - a]
+    return image
 
 
 def _keys(es: EventStructure, mask: int) -> tuple[list[int], list[tuple[str, int, int]]]:
@@ -58,8 +57,11 @@ def signature(es: EventStructure, mask: int) -> tuple[tuple[str, int, int], ...]
 def _bijections(es1: EventStructure, m1: int, es2: EventStructure, m2: int) -> Iterator[Pairs]:
     """Label- and order-preserving bijections from the events of mask m1
     onto those of m2, each as (i, j) pairs sorted by i, found by
-    backtracking: m1's events are assigned in key order (see signature),
-    each to an unused event of m2 with the same key."""
+    backtracking: m1's events are assigned in causal order (by the number
+    of m1's events below them, then by key, see signature), each to an
+    unused event j of m2 with the same key whose past among the used
+    events is the image of i's.  i's past in m1 is assigned before i, and
+    j's in m2, having fewer events below it, is among the used events."""
     if m1.bit_count() != m2.bit_count():
         return
     (events1, keys1), (events2, keys2) = _keys(es1, m1), _keys(es2, m2)
@@ -68,21 +70,20 @@ def _bijections(es1: EventStructure, m1: int, es2: EventStructure, m2: int) -> I
     same: dict[tuple[str, int, int], list[int]] = {}
     for key, j in zip(keys2, events2):
         same.setdefault(key, []).append(j)
-    order = [(i, same[key]) for key, i in sorted(zip(keys1, events1))]
-    pairs: list[tuple[int, int]] = []
+    past1, past2 = es1.past_masks, es2.past_masks
+    order = [(i, same[key]) for _, key, i in sorted((k[1], k, i) for k, i in zip(keys1, events1))]
 
-    def backtrack(pos: int, used: int) -> Iterator[Pairs]:
+    def backtrack(pos: int, used: int, pairs: Pairs) -> Iterator[Pairs]:
         if pos == len(order):
             yield tuple(sorted(pairs))
             return
         i, candidates = order[pos]
+        image = past_image(past1[i], pairs, 1)
         for j in candidates:
-            if not used >> j & 1 and extends(es1, es2, pairs, i, j):
-                pairs.append((i, j))
-                yield from backtrack(pos + 1, used | 1 << j)
-                pairs.pop()
+            if not used >> j & 1 and past2[j] & used == image:
+                yield from backtrack(pos + 1, used | 1 << j, pairs + ((i, j),))
 
-    yield from backtrack(0, 0)
+    yield from backtrack(0, 0, ())
 
 
 def iso_masks(

@@ -1,5 +1,6 @@
 """Module boundaries of the package: no module reaches into another
-module's private names, and everything the package exports exists."""
+module's private names, everything the package exports exists, and every
+name README lists as public is defined."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pesbisim
 
 SRC = Path(pesbisim.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -42,6 +44,57 @@ def test_every_exported_name_resolves():
     missing = [name for name in pesbisim.__all__ if not hasattr(pesbisim, name)]
     assert missing == []
     assert len(set(pesbisim.__all__)) == len(pesbisim.__all__)
+
+
+def _defined_names() -> dict[str, set[str]]:
+    """Per module stem ("pesbisim" for __init__.py) and per class, the
+    names defined in it: functions, classes, methods, assigned names,
+    dataclass fields, and the attributes a class's methods set on self."""
+    scopes: dict[str, set[str]] = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        module = "pesbisim" if path.stem == "__init__" else path.stem
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for owner, scope in [(module, tree)] + [(node.name, node) for node in classes]:
+            names = scopes.setdefault(owner, set())
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            if scope is not tree:
+                names.update(
+                    node.attr
+                    for node in ast.walk(scope)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                )
+    return scopes
+
+
+def test_readme_public_names_are_defined():
+    """Every dotted name in backticks in README's "What is public" list,
+    such as `pomsets.iso_masks` or `EventStructure.past_masks`, names
+    something defined in src/pesbisim (a module named as `oracle.py`
+    must exist), so a deleted public name cannot outlive its entry."""
+    section = README.read_text(encoding="utf-8").split("What is public:\n\n", 1)[1]
+    section = section.split("\n\n", 1)[0]
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(?:\([^`]*\))?`", section)
+    assert len(names) >= 20
+    scopes = _defined_names()
+    undefined = [
+        name
+        for name in names
+        if not (
+            (SRC / name).is_file()
+            if name.endswith(".py")
+            else name.rsplit(".", 1)[1] in scopes.get(name.rsplit(".", 2)[-2], ())
+        )
+    ]
+    assert undefined == []
 
 
 # Names in src/ that only perfbench's tracer reads, with how it reads them.

@@ -280,6 +280,20 @@ def test_universe_enforces_the_positions_cap():
             assert (info.value.cap, info.value.actual) == ("positions", 64)
 
 
+def test_engines_take_the_tighter_positions_cap():
+    """The engines read the smaller positions cap of the two structures:
+    one-label ANTI_3 against ANTI_3, strong hp, with caps of 200,000 and
+    10 positions, raises at 10 in both argument orders and both engines."""
+    events = [(f"e{i}", "a") for i in range(3)]
+    loose = EventStructure("A", events, caps=Caps(max_positions=200_000))
+    tight = EventStructure("B", events, caps=Caps(max_positions=10))
+    kind = BisimulationKind(Flavor.HP, Mode.STRONG)
+    for es1, es2 in ((loose, tight), (tight, loose)):
+        for decide in (check, game_check):
+            with pytest.raises(CapExceededError, match="positions limit is 10, needed 11"):
+                decide(es1, es2, kind)
+
+
 def test_greatest_relation_is_maximal():
     """Adding any surviving candidate back to the greatest relation breaks
     closure, so the fixpoint really is the largest closed set."""
