@@ -96,12 +96,12 @@ def _serialize_witness(verdict: oracle.Verdict) -> list:
 
 def _serialize_strategy(gv: games.GameVerdict) -> list:
     arena = gv.arena
-    keys, rules, succ = arena.keys, arena.rules, arena.succ
+    keys, succ = arena.keys, arena.succ
     return [
         {
             "position": arena.describe(keys[i]),
-            "rule": rules[i][k],
-            "move": arena.describe_move(keys[i], rules[i][k], keys[succ[i][k]]),
+            "rule": arena.rule(keys[i], keys[succ[i][k]]),
+            "move": arena.describe_move(keys[i], keys[succ[i][k]]),
         }
         for i, k in gv.strategy_moves()
     ]
@@ -215,12 +215,12 @@ def cmd_play(args: argparse.Namespace) -> int:
     human = Role(args.human_role)
     machine = human.other()
     print(f"{kind} game on {es1.name} vs {es2.name}; you play {human.value}")
-    keys, rules, succ = arena.keys, arena.rules, arena.succ
+    keys, succ = arena.keys, arena.succ
     i = 0
     machine_rules: list[str] = []
     while (turn := games.play_turn(gv, i, human)).ending is None:
         print(f"position {arena.describe(keys[i])}")
-        options = [arena.describe_move(keys[i], r, keys[j]) for r, j in zip(rules[i], succ[i])]
+        options = [arena.describe_move(keys[i], keys[j]) for j in succ[i]]
         k = turn.machine_move
         if k is None:
             for option, text in enumerate(options):
@@ -238,8 +238,8 @@ def cmd_play(args: argparse.Namespace) -> int:
                     print(f"enter a move number between 0 and {turn.legal - 1}")
             print(f"{human.value} plays [{k}] {options[k]}")
         else:
-            print(f"{machine.value} plays {options[k]}  [{rules[i][k]}]")
-            machine_rules.append(rules[i][k])
+            machine_rules.append(arena.rule(keys[i], keys[succ[i][k]]))
+            print(f"{machine.value} plays {options[k]}  [{machine_rules[-1]}]")
         i = succ[i][k]
     print(games.ENDINGS[turn.ending])
     if turn.winner is machine and machine_rules:

@@ -41,8 +41,9 @@ def arena_dot(verdict: GameVerdict) -> str:
             f"  n{i} [label={_quote(arena.describe(key))} shape={shape} "
             f"style=filled fillcolor={color}{extra}];"
         )
-    for i, (rules, out) in enumerate(zip(arena.rules, arena.succ)):
-        for rule, j in zip(rules, out):
-            lines.append(f"  n{i} -> n{j} [label={_quote(rule)}];")
+    keys = arena.keys
+    for i, out in enumerate(arena.succ):
+        for j in out:
+            lines.append(f"  n{i} -> n{j} [label={_quote(arena.rule(keys[i], keys[j]))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -32,8 +32,9 @@ positions preset, until no demotion fires.  A play reaching a demoted
 position ends there; ``play_turn`` decides, for ``replay`` and the
 interactive ``play`` command alike, when a play ends, who wins and what
 the machine plays: ``GameVerdict.canonical_move``, which the strategy
-takes too.  Positions are keys, plays and strategies are told in
-position ids and move indices, and no object form of either exists.
+takes too.  Positions are keys, a move is its target's id, its rule read
+off the keys of its two endpoints, plays and strategies are told in
+position ids and move indices, and no object form of any of them exists.
 """
 
 from __future__ import annotations
@@ -70,25 +71,17 @@ class Role(Enum):
 class Arena:
     """All positions reachable from the initial one, with their moves.
 
-    Position i, numbered in insertion order from 0, has the Key keys[i].
-    succ[i] holds the ids of the targets of its moves and rules[i] the
-    moves' rule names, in move order.  positions and moves alias keys and
-    succ for perfbench's tracer."""
+    Position i, numbered in insertion order from 0, has the Key keys[i],
+    and succ[i] holds the ids of the targets of its moves, in move order.
+    A move's rule is read off its two keys by rule.  positions and moves
+    alias keys and succ for perfbench's tracer."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        keys: Sequence[Key],
-        rules: Sequence[Sequence[str]],
-        succ: Sequence[Sequence[int]],
-    ):
+    def __init__(self, engine: Engine, keys: Sequence[Key], succ: Sequence[Sequence[int]]):
         self.engine = engine
         self.es1 = engine.es1
         self.es2 = engine.es2
         self.kind = engine.kind
-        self.strong_tau_erasure = engine.strong_tau_erasure
         self.keys = keys
-        self.rules = rules
         self.succ = succ
 
     @property
@@ -121,11 +114,28 @@ class Arena:
             return f"<{body} ? left side terminated>"
         return f"<{body} ? X={es_l.format_mask(ch)}>"
 
-    def describe_move(self, source: Key, rule: str, target: Key) -> str:
-        """The move by rule from source to target (keys) as text."""
+    @staticmethod
+    def rule(source: Key, target: Key) -> str:
+        """The rule name of the move from source to target (keys).  A
+        transition adds at least one event, so the cases never overlap."""
+        sw, left, right, _, ch = source
+        t_sw, t_left, t_right, _, t_ch = target
+        if ch is None:
+            if t_ch == 0:
+                return "spoiler-termination-challenge"
+            return "spoiler-challenge-left" if t_sw == sw else "spoiler-challenge-right"
+        if ch == 0:  # a termination answer moves the right side alone
+            return "duplicator-match"
+        if t_right == right:
+            return "duplicator-absorb-tau"
+        return "duplicator-tau-step" if t_left == left else "duplicator-match"
+
+    def describe_move(self, source: Key, target: Key) -> str:
+        """The move from source to target (keys) as text."""
         sw, _, right, _, ch = source
         t_sw, _, t_right, _, t_ch = target
         es_l, es_r = self.sides(sw)
+        rule = self.rule(source, target)
         if rule == "spoiler-challenge-left":
             return f"challenge left X={es_l.format_mask(t_ch)}"
         if rule == "spoiler-challenge-right":
@@ -199,9 +209,6 @@ class GameVerdict:
         return [(i, move(i)) for i in self._strategy_ids()]
 
 
-_LEFT, _RIGHT, _MATCH = "spoiler-challenge-left", "spoiler-challenge-right", "duplicator-match"
-
-
 def build_arena(
     es1: EventStructure,
     es2: EventStructure,
@@ -227,9 +234,8 @@ def build_arena(
         keys += [(False, m1, m2, prs, None) for m1, prs, m2 in triple_universe(eng)]
     index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     keys = list(index)
-    rules: list[tuple[str, ...]] = []
     succ: list[tuple[int, ...]] = []
-    matched: dict[tuple[bool, int, int, int], tuple[tuple[str, ...], tuple[int, ...]]] = {}
+    matched: dict[tuple[bool, int, int, int], tuple[int, ...]] = {}
     limit = eng.caps.max_positions
 
     def number(targets: list[Key]) -> tuple[int, ...]:
@@ -252,23 +258,18 @@ def build_arena(
         es_l, es_r = es[sl], es[sr]
         if ch is None:
             m = index.get((not sw, right, left, pairs, None), i)
+            lefts, rights = challenges(sl, left), challenges(sr, right)
             if m < i:
-                row, out = rules[m], succ[m]
-                k = row.count(_LEFT)
-                n = k + row.count(_RIGHT)
-                rules.append((_LEFT,) * (n - k) + (_RIGHT,) * k + row[n:])
+                # the mirror's row took the right side's challenges first
+                out, k, n = succ[m], len(rights), len(rights) + len(lefts)
                 succ.append(out[k:n] + out[:k] + out[n:])
                 continue
-            lefts, rights = challenges(sl, left), challenges(sr, right)
             targets = [(sw, left, right, pairs, x) for x, _ in lefts]
             targets += [(not sw, right, left, pairs, y) for y, _ in rights]
-            row = (_LEFT,) * len(lefts) + (_RIGHT,) * len(rights)
             if branching and (ends := es_l.terminates_mask(left)) != es_r.terminates_mask(right):
                 # the side that terminates alone is challenged, as the left one
                 turned = (sw, left, right) if ends else (not sw, right, left)
                 targets.append((*turned, pairs, 0))
-                row += ("spoiler-termination-challenge",)
-            rules.append(row)
             succ.append(number(targets))
             continue
         if ch == 0:  # the termination challenge
@@ -277,30 +278,25 @@ def build_arena(
                 for m0 in es_r.tau_reachable_masks(right)
                 if m0 != right and es_r.terminates_mask(m0)
             ]
-            rules.append((_MATCH,) * len(targets))
             succ.append(number(targets))
             continue
         target = left | ch
         # hp and hhp answers extend the pairs, so only pomset and step rows are shared
         shared = None if pairs is not None else (sw, target, right, iso_class(sl, ch))
-        found = matched.get(shared)
-        if found is None:
+        out = matched.get(shared)
+        if out is None:
             absorb = branching and not ch & ~es_l.silent_mask
             targets = [(sw, target, right, pairs, None)] if absorb else []
             replies = iso_answers(sr, shared[3], right) if shared else answers(sl, ch, pairs, right)
             targets += [(sw, target, t, p, None) for t, p in replies]
-            names = ("duplicator-absorb-tau",) * absorb + (_MATCH,) * (len(targets) - absorb)
-            found = (names, number(targets))
+            out = number(targets)
             if shared is not None:
-                matched[shared] = found
-        row, out = found
+                matched[shared] = out
         if branching and (silent := es_r.silent_mask & ~right):
             steps = [right | 1 << e for e in es_r.enabled(right) if silent >> e & 1]
-            row += ("duplicator-tau-step",) * len(steps)
             out += number([(sw, left, r, pairs, None) for r in steps])
-        rules.append(row)
         succ.append(out)
-    return Arena(eng, keys, rules, succ)
+    return Arena(eng, keys, succ)
 
 
 def _sweep(arena: Arena, demoted: Iterable[int] = ()) -> list[Role]:
@@ -422,12 +418,14 @@ class Transcript:
     ending: str
 
     def render(self, arena: Arena) -> str:
-        keys, rules, succ = arena.keys, arena.rules, arena.succ
-        lines = [
-            f"{actor.value}: {arena.describe_move(keys[i], rules[i][k], keys[succ[i][k]])}"
-            f"  [{rules[i][k]}]"
-            for i, actor, k in self.steps
-        ]
+        keys, succ = arena.keys, arena.succ
+        lines = []
+        for i, actor, k in self.steps:
+            source, target = keys[i], keys[succ[i][k]]
+            lines.append(
+                f"{actor.value}: {arena.describe_move(source, target)}"
+                f"  [{arena.rule(source, target)}]"
+            )
         lines.append(ENDINGS[self.ending])
         return "\n".join(lines)
 

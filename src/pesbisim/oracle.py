@@ -118,7 +118,6 @@ class Engine:
         self.es2 = es2
         self.kind = kind
         self.caps = min(es1.caps, es2.caps, key=lambda caps: caps.max_positions)
-        self.strong_tau_erasure = strong_tau_erasure
         self.posetal = kind.posetal
         self.step = kind.step_moves
         self.branching = kind.branching

@@ -110,7 +110,7 @@ def matching_fault(
     seen1 = 0
     seen2 = 0
     for i, j in pairs:
-        if not dom >> i & 1 or not cod >> j & 1:
+        if min(i, j) < 0 or not dom >> i & 1 or not cod >> j & 1:
             return "matched event outside the matched configurations"
         if seen1 >> i & 1 or seen2 >> j & 1:
             return "matching maps an event twice"

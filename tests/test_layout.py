@@ -46,32 +46,38 @@ def test_every_exported_name_resolves():
     assert len(set(pesbisim.__all__)) == len(pesbisim.__all__)
 
 
-def _defined_names() -> dict[str, set[str]]:
+def _defined_names() -> dict[str, dict[str, str | None]]:
     """Per module stem ("pesbisim" for __init__.py) and per class, the
     names defined in it: functions, classes, methods, assigned names,
-    dataclass fields, and the attributes a class's methods set on self."""
-    scopes: dict[str, set[str]] = {}
+    dataclass fields, and the attributes a class's methods set on self.
+    A function or method maps to its parameter list as README writes it,
+    such as "(source, target)", without self; any other name to None."""
+    scopes: dict[str, dict[str, str | None]] = {}
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         module = "pesbisim" if path.stem == "__init__" else path.stem
         classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
         for owner, scope in [(module, tree)] + [(node.name, node) for node in classes]:
-            names = scopes.setdefault(owner, set())
+            names = scopes.setdefault(owner, {})
             for node in scope.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    names.add(node.name)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                    names[node.name] = f"({', '.join(p for p in params if p != 'self')})"
+                elif isinstance(node, ast.ClassDef):
+                    names[node.name] = None
                 elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+                    names.update(dict.fromkeys(t.id for t in targets if isinstance(t, ast.Name)))
             if scope is not tree:
-                names.update(
-                    node.attr
-                    for node in ast.walk(scope)
-                    if isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Store)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                )
+                for node in ast.walk(scope):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    ):
+                        names.setdefault(node.attr, None)
     return scopes
 
 
@@ -79,15 +85,18 @@ def test_readme_public_names_are_defined():
     """Every dotted name in backticks in README's "What is public" list,
     such as `pomsets.iso_masks` or `EventStructure.past_masks`, names
     something defined in src/pesbisim (a module named as `oracle.py`
-    must exist), so a deleted public name cannot outlive its entry."""
+    must exist), so a deleted public name cannot outlive its entry.  Where
+    an entry carries a parameter list, such as `Arena.describe(key)`, it is
+    the defined function's, without self, so a changed signature cannot
+    outlive its entry either."""
     section = README.read_text(encoding="utf-8").split("What is public:\n\n", 1)[1]
     section = section.split("\n\n", 1)[0]
-    names = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(?:\([^`]*\))?`", section)
-    assert len(names) >= 20
+    entries = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(\([^`]*\))?`", section)
+    assert len(entries) >= 20
     scopes = _defined_names()
     undefined = [
         name
-        for name in names
+        for name, _ in entries
         if not (
             (SRC / name).is_file()
             if name.endswith(".py")
@@ -95,6 +104,14 @@ def test_readme_public_names_are_defined():
         )
     ]
     assert undefined == []
+    stated = [(name, " ".join(params.split())) for name, params in entries if params]
+    assert len(stated) >= 5
+    wrong = [
+        name + params
+        for name, params in stated
+        if scopes[name.rsplit(".", 2)[-2]][name.rsplit(".", 1)[1]] != params
+    ]
+    assert wrong == []
 
 
 # Names in src/ that only perfbench's tracer reads, with how it reads them.

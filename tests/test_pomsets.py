@@ -222,7 +222,7 @@ def test_extend_precondition_breach():
 
 def _move(arena, i, rule):
     """The target id of position i's first move of the given rule."""
-    return next(j for r, j in zip(arena.rules[i], arena.succ[i]) if r == rule)
+    return next(j for j in arena.succ[i] if arena.rule(arena.keys[i], arena.keys[j]) == rule)
 
 
 def test_weak_extension_with_silent_event_keeps_pairs():
@@ -243,7 +243,12 @@ def test_grow_silent_one_side():
     assert (left, pairs, right) == (0, (), t2.mask_of(["t"]))
     # strong matchings never grow one side alone
     strong = build_arena(t1, t2, HP_STRONG)
-    assert all("duplicator-tau-step" not in rules for rules in strong.rules)
+    keys = strong.keys
+    assert all(
+        strong.rule(keys[i], keys[j]) != "duplicator-tau-step"
+        for i, out in enumerate(strong.succ)
+        for j in out
+    )
 
 
 def test_invalid_reasons():
@@ -255,6 +260,7 @@ def test_invalid_reasons():
     mismatch = (p.mask_of(["a"]), ((0, 1),), p.mask_of(["b"]))
     assert "label mismatch" in matching_fault(p, p, *mismatch, False)
     assert "outside" in matching_fault(s, s, 0, ((0, 0),), 0, False)
+    assert "outside" in matching_fault(s, s, 1, ((-1, 0),), 1, False)
     b = s.event_index("b")  # {b} lacks its cause a
     assert matching_fault(s, s, 1 << b, (), 0, True) == "matching endpoints are not configurations"
 
