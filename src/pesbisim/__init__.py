@@ -8,7 +8,6 @@ relation computation and by solving Spoiler/Duplicator games.
 from .errors import (
     ArenaCycleError,
     CapExceededError,
-    IllegalMoveError,
     MalformedWitnessError,
     ParseError,
     PesBisimError,
@@ -18,10 +17,8 @@ from .games import (
     Arena,
     GameVerdict,
     Role,
-    Transcript,
     build_arena,
     game_check,
-    replay,
     solve,
     solve_hereditary,
 )
@@ -43,7 +40,6 @@ __all__ = [
     "EventStructure",
     "Flavor",
     "GameVerdict",
-    "IllegalMoveError",
     "MalformedWitnessError",
     "Mode",
     "ParseError",
@@ -52,7 +48,6 @@ __all__ = [
     "Relation",
     "Role",
     "SILENT_LABEL",
-    "Transcript",
     "ValidationError",
     "Verdict",
     "build_arena",
@@ -63,7 +58,6 @@ __all__ = [
     "greatest_bisimulation",
     "parse_document",
     "parse_pes",
-    "replay",
     "solve",
     "solve_hereditary",
     "verify_witness",

@@ -232,8 +232,14 @@ def cmd_play(args: argparse.Namespace) -> int:
                     print("\nend of input; aborting game", file=sys.stderr)
                     return 2
                 line = line.strip()
-                if line.isdecimal() and int(line) < turn.legal:
-                    k = int(line)
+                try:
+                    # isdecimal() keeps out signs, "_" and digits such as "²";
+                    # int() still refuses a line past its digit limit
+                    n = int(line) if line.isdecimal() else turn.legal
+                except ValueError:
+                    n = turn.legal
+                if n < turn.legal:
+                    k = n
                 else:
                     print(f"enter a move number between 0 and {turn.legal - 1}")
             print(f"{human.value} plays [{k}] {options[k]}")

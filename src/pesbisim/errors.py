@@ -39,10 +39,6 @@ class MalformedWitnessError(PesBisimError):
     Relation of another structure pair."""
 
 
-class IllegalMoveError(PesBisimError):
-    """A replayed move does not exist at the current game position."""
-
-
 class ArenaCycleError(PesBisimError):
     """A move does not lead to a position that the solver's sweep has
     already decided, which every cycle in a game arena causes; arenas are

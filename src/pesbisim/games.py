@@ -29,12 +29,12 @@ matching; the solver then demotes Duplicator-won positions whose
 matching has a synchronized shrinking with no Duplicator-won
 counterpart to Spoiler-won sinks, and sweeps again with the demoted
 positions preset, until no demotion fires.  A play reaching a demoted
-position ends there; ``play_turn`` decides, for ``replay`` and the
-interactive ``play`` command alike, when a play ends, who wins and what
-the machine plays: ``GameVerdict.canonical_move``, which the strategy
-takes too.  Positions are keys, a move is its target's id, its rule read
-off the keys of its two endpoints, plays and strategies are told in
-position ids and move indices, and no object form of any of them exists.
+position ends there; ``play_turn`` decides, for the ``play`` command,
+when a play ends, who wins and what the machine plays:
+``GameVerdict.canonical_move``, which the strategy takes too.  Positions
+are keys, a move is its target's id, its rule read off the keys of its
+two endpoints, plays and strategies are told in position ids and move
+indices, and no object form of any of them exists.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import ArenaCycleError, CapExceededError, IllegalMoveError, ValidationError
+from .errors import ArenaCycleError, CapExceededError, ValidationError
 from .kinds import BisimulationKind, Flavor
 from .oracle import Engine, triple_universe, unclosed
 from .pes import EventStructure
@@ -404,50 +404,3 @@ def play_turn(verdict: GameVerdict, i: int, as_role: Role) -> Turn:
     if owner is as_role:
         return Turn(legal)
     return Turn(legal, verdict.canonical_move(i))
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """A finished play: the moves taken as (position id, actor, move
-    index), the final position's id, the winner and the rule that ended
-    play (a key of ENDINGS)."""
-
-    steps: tuple[tuple[int, Role, int], ...]
-    final: int
-    winner: Role
-    ending: str
-
-    def render(self, arena: Arena) -> str:
-        keys, succ = arena.keys, arena.succ
-        lines = []
-        for i, actor, k in self.steps:
-            source, target = keys[i], keys[succ[i][k]]
-            lines.append(
-                f"{actor.value}: {arena.describe_move(source, target)}"
-                f"  [{arena.rule(source, target)}]"
-            )
-        lines.append(ENDINGS[self.ending])
-        return "\n".join(lines)
-
-
-def replay(verdict: GameVerdict, as_role: Role, moves: Sequence[int]) -> Transcript:
-    """Play the external player's numbered moves for one role against the
-    machine (see play_turn), from position 0.  Raises IllegalMoveError on
-    an out-of-range index or when the move list runs out mid-play."""
-    arena = verdict.arena
-    i = 0
-    steps: list[tuple[int, Role, int]] = []
-    supplied = iter(moves)
-    while (turn := play_turn(verdict, i, as_role)).ending is None:
-        k, actor = turn.machine_move, as_role.other()
-        if k is None:
-            k, actor = next(supplied, None), as_role
-            if k is None:
-                raise IllegalMoveError("move list exhausted before the play ended")
-            if not 0 <= k < turn.legal:
-                raise IllegalMoveError(
-                    f"no move {k} at {arena.describe(arena.keys[i])}: {turn.legal} moves available"
-                )
-        steps.append((i, actor, k))
-        i = arena.succ[i][k]
-    return Transcript(tuple(steps), i, turn.winner, turn.ending)

@@ -191,12 +191,6 @@ class EventStructure:
     # ------------------------------------------------------------------
     # basic views
 
-    def label(self, event: str) -> str:
-        return self.labels[self._resolve(event)]
-
-    def event_index(self, event: str) -> int:
-        return self._resolve(event)
-
     def mask_of(self, events: Iterable[str]) -> int:
         m = 0
         for e in events:

@@ -250,7 +250,8 @@ def renamed_copy(
     if rng is not None:
         rng.shuffle(order)
     names = {e: f"{prefix}{i}" for i, e in enumerate(order)}
-    events = [(names[e], es.label(e)) for e in order]
+    label = dict(zip(es.events, es.labels))
+    events = [(names[e], label[e]) for e in order]
     causes = [
         (names[x], names[y]) for x in es.events for y in es.events if x != y and es.leq(x, y)
     ]
@@ -286,7 +287,7 @@ def twin_rich_pairs(max_events: int = 5) -> list[tuple[EventStructure, EventStru
             antichain(n, ("a", "b"), "PAR"),
             antichain(n, ("a", "tau"), "TPAR"),
         ):
-            events = [(e, base.label(e)) for e in base.events]
+            events = list(zip(base.events, base.labels))
             relabelled = events[:-1] + [(events[-1][0], "z")]
             out += [
                 (base, renamed_copy(base, rng=rng)),

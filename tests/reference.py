@@ -41,7 +41,7 @@ class _Side:
     def __init__(self, es: EventStructure):
         names = es.events
         self.n = len(names)
-        self.labels = [es.label(e) for e in names]
+        self.labels = list(es.labels)
         self.silent = [label == SILENT_LABEL for label in self.labels]
         self.leq = [[es.leq(a, b) for b in names] for a in names]
         conflict = [[es.in_conflict(a, b) for b in names] for a in names]

@@ -477,16 +477,18 @@ def test_play_as_spoiler_wins(capsys):
 
 
 def test_play_reprompts_on_non_decimal_digit(capsys, monkeypatch):
-    # "²".isdigit() holds, but int("²") raises
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\u00b2\n2\n"))
-    code, out, _ = run_main(
-        capsys,
-        ["play", "--rel", "pomset", "--mode", "strong", "--as", "spoiler",
-         fx("par.pes"), fx("ch.pes")],
-    )
-    assert code == 0
-    assert "enter a move number between 0 and" in out
-    assert "Duplicator stuck; Spoiler wins" in out
+    # "²".isdigit() holds, but int("²") raises; int() also refuses a
+    # decimal line past its digit limit (4,300 digits by default)
+    for bad in ["\u00b2", "1" * 5000]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{bad}\n2\n"))
+        code, out, _ = run_main(
+            capsys,
+            ["play", "--rel", "pomset", "--mode", "strong", "--as", "spoiler",
+             fx("par.pes"), fx("ch.pes")],
+        )
+        assert code == 0
+        assert "enter a move number between 0 and" in out
+        assert "Duplicator stuck; Spoiler wins" in out
 
 
 def test_play_as_duplicator_machine_wins():
@@ -530,6 +532,20 @@ def test_play_eof_aborts():
                 fx("choice3.pes"), fx("chain.pes"),
             ],
             "0\n" * 5,
+            0,
+        ),
+        (
+            # no challenge at the root: Spoiler is stuck at once
+            "play_p0_p0_pomset_strong_spoiler.txt",
+            ["--rel", "pomset", "--mode", "strong", "--as", "spoiler", fx("p0.pes"), fx("p0.pes")],
+            "",
+            0,
+        ),
+        (
+            # two challenges, each matched, until Spoiler is stuck
+            "play_seq_seq_pomset_strong_spoiler.txt",
+            ["--rel", "pomset", "--mode", "strong", "--as", "spoiler", fx("seq.pes"), fx("seq.pes")],
+            "0\n0\n",
             0,
         ),
     ],

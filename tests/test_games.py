@@ -1,9 +1,8 @@
-"""Game arenas, backward induction, hereditary demotion and replays."""
+"""Game arenas, backward induction and hereditary demotion."""
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from graphlib import TopologicalSorter
 
 import pytest
@@ -14,7 +13,6 @@ from pesbisim import (
     BisimulationKind,
     EventStructure,
     Flavor,
-    IllegalMoveError,
     Mode,
     ValidationError,
     check,
@@ -24,7 +22,6 @@ from pesbisim.games import (
     Role,
     build_arena,
     game_check,
-    replay,
     solve,
     solve_hereditary,
 )
@@ -180,39 +177,6 @@ def test_strategy_moves_belong_to_the_winner():
         assert all(win[j] is Role.SPOILER for j in succ[i][:k])
 
 
-def test_replay_spoiler_stuck():
-    a = build_arena(p0(), p0(), POMSET_STRONG)
-    t = replay(solve(a), Role.SPOILER, [])
-    assert t.ending == "spoiler-stuck" and t.winner is Role.DUPLICATOR and t.steps == ()
-
-
-def test_replay_full_round_trip():
-    a = build_arena(seq(), seq(), POMSET_STRONG)
-    t = replay(solve(a), Role.SPOILER, [0, 0])
-    assert t.ending == "spoiler-stuck" and t.winner is Role.DUPLICATOR
-    assert len(t.steps) == 4
-    text = t.render(a)
-    assert "Spoiler stuck; Duplicator wins" in text
-    assert "spoiler-challenge-left" in text and "duplicator-match" in text
-
-
-def test_replay_duplicator_stuck():
-    a = build_arena(par(), ch(), POMSET_STRONG)
-    t = replay(solve(a), Role.DUPLICATOR, [])
-    assert t.ending == "duplicator-stuck" and t.winner is Role.SPOILER
-    assert len(t.steps) == 1
-    assert "Duplicator stuck; Spoiler wins" in t.render(a)
-
-
-def test_replay_rejects_bad_moves():
-    a = build_arena(seq(), seq(), POMSET_STRONG)
-    sol = solve(a)
-    with pytest.raises(IllegalMoveError):
-        replay(sol, Role.SPOILER, [])
-    with pytest.raises(IllegalMoveError):
-        replay(sol, Role.SPOILER, [99])
-
-
 def test_solve_rejects_cyclic_arena():
     """Arenas built from structures are acyclic; in a hand-built cycle some
     move leads to a position the solver's sweep has not decided yet, which
@@ -273,39 +237,6 @@ def test_hhp_demotion_characterization(mode):
     assert not verdict.equivalent
     assert len(verdict.demoted_ids) == 52
     assert verdict.strategy_size() == 97
-
-
-def _duplicator_picks_to_demoted(arena, verdict):
-    """Duplicator move indices that walk the machine's Spoiler strategy
-    into a demoted position, if any play does."""
-    seen = set()
-    queue = deque([(0, ())])
-    while queue:
-        i, picks = queue.popleft()
-        if i in seen:
-            continue
-        seen.add(i)
-        if i in verdict.demoted_ids:
-            return picks
-        legal = arena.succ[i]
-        if not legal:
-            continue
-        if _owner(arena.keys[i]) is Role.SPOILER:
-            queue.append((legal[verdict.canonical_move(i)], picks))
-        else:
-            for k, j in enumerate(legal):
-                queue.append((j, picks + (k,)))
-    return None
-
-
-def test_replay_stops_at_demoted_positions():
-    a = build_arena(choice3(), chain(), HHP_STRONG)
-    sol = solve_hereditary(a)
-    picks = _duplicator_picks_to_demoted(a, sol)
-    assert picks is not None
-    t = replay(sol, Role.DUPLICATOR, list(picks))
-    assert t.ending == "hereditary-closure-violation" and t.winner is Role.SPOILER
-    assert "hereditary closure violated" in t.render(a)
 
 
 def test_hhp_arena_covers_every_matching():

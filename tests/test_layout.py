@@ -81,6 +81,14 @@ def _defined_names() -> dict[str, dict[str, str | None]]:
     return scopes
 
 
+def _public_entries() -> list[tuple[str, str]]:
+    """The dotted names in backticks in README's "What is public" list,
+    each with the parameter list written after it, or ""."""
+    section = README.read_text(encoding="utf-8").split("What is public:\n\n", 1)[1]
+    section = section.split("\n\n", 1)[0]
+    return re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(\([^`]*\))?`", section)
+
+
 def test_readme_public_names_are_defined():
     """Every dotted name in backticks in README's "What is public" list,
     such as `pomsets.iso_masks` or `EventStructure.past_masks`, names
@@ -89,9 +97,7 @@ def test_readme_public_names_are_defined():
     an entry carries a parameter list, such as `Arena.describe(key)`, it is
     the defined function's, without self, so a changed signature cannot
     outlive its entry either."""
-    section = README.read_text(encoding="utf-8").split("What is public:\n\n", 1)[1]
-    section = section.split("\n\n", 1)[0]
-    entries = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(\([^`]*\))?`", section)
+    entries = _public_entries()
     assert len(entries) >= 20
     scopes = _defined_names()
     undefined = [
@@ -112,6 +118,48 @@ def test_readme_public_names_are_defined():
         if scopes[name.rsplit(".", 2)[-2]][name.rsplit(".", 1)[1]] != params
     ]
     assert wrong == []
+
+
+def _attributes_read(path: Path) -> set[str]:
+    """The attribute names read in a file, leaving out reads inside a
+    function of the same name, so that a method calling itself is not
+    its own reader."""
+    read: set[str] = set()
+
+    def visit(node: ast.AST, inside: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside |= {node.name}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in inside:
+                read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), frozenset())
+    return read
+
+
+def test_every_public_method_has_a_reader():
+    """Every public method of a class in src/pesbisim is read as an
+    attribute somewhere in src/ (outside __init__.py and its own body) or
+    perfbench/, or is listed in README's "What is public" as
+    `Class.method`, so a method only the tests call cannot stay in the
+    library."""
+    sources = [p for p in MODULES if p.name != "__init__.py"] + sorted(PERFBENCH.glob("*.py"))
+    read = set().union(*map(_attributes_read, sources))
+    documented = {name for name, _ in _public_entries()}
+    modules = {"pesbisim" if p.stem == "__init__" else p.stem for p in MODULES}
+    unread = [
+        f"{owner}.{name}"
+        for owner, names in _defined_names().items()
+        if owner not in modules
+        for name, params in names.items()
+        if params is not None
+        and not name.startswith("_")
+        and name not in read
+        and f"{owner}.{name}" not in documented
+    ]
+    assert unread == []
 
 
 # Names in src/ that only perfbench's tracer reads, with how it reads them.

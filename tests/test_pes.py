@@ -318,7 +318,7 @@ def test_twins_are_the_swaps_that_are_automorphisms():
             for j, y in enumerate(names):
                 swap = {**{e: e for e in names}, x: y, y: x}
                 automorphism = (
-                    es.label(x) == es.label(y)
+                    es.labels[i] == es.labels[j]
                     and all(
                         es.leq(a, b) == es.leq(swap[a], swap[b])
                         and es.in_conflict(a, b) == es.in_conflict(swap[a], swap[b])
@@ -410,7 +410,7 @@ def test_closure_idempotent():
             if es.in_conflict(a, b)
         ]
         again = EventStructure(
-            "R", [(e, es.label(e)) for e in es.events], closed_causes, closed_conflicts
+            "R", list(zip(es.events, es.labels)), closed_causes, closed_conflicts
         )
         assert set(again.configuration_masks()) == set(es.configuration_masks())
         for a in es.events:

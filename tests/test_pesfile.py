@@ -40,7 +40,7 @@ CONSTRUCTORS = {
 def same_structure(x, y) -> bool:
     if x.events != y.events:
         return False
-    if any(x.label(e) != y.label(e) for e in x.events):
+    if x.labels != y.labels:
         return False
     for a in x.events:
         for b in x.events:

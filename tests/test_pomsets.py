@@ -34,18 +34,19 @@ HHP_BRANCHING = BisimulationKind(Flavor.HHP, Mode.BRANCHING)
 def brute_matchings(es1, ev1, es2, ev2, erase: bool) -> set[tuple[tuple[int, int], ...]]:
     """Every label- and order-preserving bijection between the event
     lists, as sorted index pairs, by trying all permutations."""
+    label1, label2 = dict(zip(es1.events, es1.labels)), dict(zip(es2.events, es2.labels))
     if erase:
-        ev1 = [e for e in ev1 if es1.label(e) != SILENT_LABEL]
-        ev2 = [e for e in ev2 if es2.label(e) != SILENT_LABEL]
+        ev1 = [e for e in ev1 if label1[e] != SILENT_LABEL]
+        ev2 = [e for e in ev2 if label2[e] != SILENT_LABEL]
     if len(ev1) != len(ev2):
         return set()
     out = set()
     for perm in itertools.permutations(ev2):
         pairs = list(zip(ev1, perm))
-        if all(es1.label(a) == es2.label(b) for a, b in pairs) and all(
+        if all(label1[a] == label2[b] for a, b in pairs) and all(
             es1.leq(a, c) == es2.leq(b, d) for a, b in pairs for c, d in pairs
         ):
-            out.add(tuple(sorted((es1.event_index(a), es2.event_index(b)) for a, b in pairs)))
+            out.add(tuple(sorted((es1.events.index(a), es2.events.index(b)) for a, b in pairs)))
     return out
 
 
@@ -166,7 +167,7 @@ def test_enumerate_matches_iso():
 def test_extend_identical_structures():
     s = seq()
     eng = Engine(s, s, HP_STRONG)
-    a, b = s.event_index("a"), s.event_index("b")
+    a, b = s.events.index("a"), s.events.index("b")
     for side in (1, 2):
         assert list(eng.answers(side, 1 << a, (), 0)) == [(1 << a, ((a, a),))]
         grown = [(s.full_mask, ((a, a), (b, b)))]
@@ -179,8 +180,8 @@ def test_extend_across_structures():
     left = seq()
     right = EventStructure("AB1B2", [("a", "a"), ("b1", "b"), ("b2", "b")], [("a", "b1")])
     eng = Engine(left, right, HP_STRONG)
-    a, b = left.event_index("a"), left.event_index("b")
-    ra, b1, b2 = (right.event_index(e) for e in ("a", "b1", "b2"))
+    a, b = left.events.index("a"), left.events.index("b")
+    ra, b1, b2 = (right.events.index(e) for e in ("a", "b1", "b2"))
     pairs = ((a, ra),)
     grown = ((a, ra), (b, b1))
     assert list(eng.answers(1, 1 << b, pairs, 1 << ra)) == [((1 << ra) | (1 << b1), grown)]
@@ -190,7 +191,7 @@ def test_extend_across_structures():
 
 def test_extend_label_mismatch():
     p = par()
-    a, b = p.event_index("a"), p.event_index("b")
+    a, b = p.events.index("a"), p.events.index("b")
     eng = Engine(p, p, HP_STRONG)
     for side in (1, 2):
         # b is enabled too, but only a carries the challenged label
@@ -198,14 +199,14 @@ def test_extend_label_mismatch():
         assert list(eng.answers(side, 1 << b, (), 0)) == [(1 << b, ((b, b),))]
     # b alone is no configuration of SEQ, so it is never offered to extend
     s = seq()
-    assert Engine(s, s, HP_STRONG).es[2].enabled(0) == (s.event_index("a"),)
+    assert Engine(s, s, HP_STRONG).es[2].enabled(0) == (s.events.index("a"),)
 
 
 def test_extend_order_violation():
     left, right = par(), seq()
     eng = Engine(left, right, HP_STRONG)
-    pairs = ((left.event_index("a"), right.event_index("a")),)
-    lb, rb = left.event_index("b"), right.event_index("b")
+    pairs = ((left.events.index("a"), right.events.index("a")),)
+    lb, rb = left.events.index("b"), right.events.index("b")
     assert list(eng.answers(1, 1 << lb, pairs, right.mask_of(["a"]))) == []
     assert list(eng.answers(2, 1 << rb, pairs, left.mask_of(["a"]))) == []
 
@@ -216,7 +217,7 @@ def test_extend_precondition_breach():
     s = seq()
     eng = Engine(s, s, HP_STRONG)
     a_mask = s.mask_of(["a"])
-    assert eng.es[1].enabled(a_mask) == (s.event_index("b"),)
+    assert eng.es[1].enabled(a_mask) == (s.events.index("b"),)
     assert eng.es[1].enabled(s.full_mask) == ()
 
 
@@ -253,7 +254,7 @@ def test_grow_silent_one_side():
 
 def test_invalid_reasons():
     s = seq()
-    a = s.event_index("a")
+    a = s.events.index("a")
     assert matching_fault(s, s, 1 << a, ((a, a),), 1 << a, False) is None
     assert "bijection" in matching_fault(s, s, 1 << a, (), 1 << a, False)
     p = par()
@@ -261,7 +262,7 @@ def test_invalid_reasons():
     assert "label mismatch" in matching_fault(p, p, *mismatch, False)
     assert "outside" in matching_fault(s, s, 0, ((0, 0),), 0, False)
     assert "outside" in matching_fault(s, s, 1, ((-1, 0),), 1, False)
-    b = s.event_index("b")  # {b} lacks its cause a
+    b = s.events.index("b")  # {b} lacks its cause a
     assert matching_fault(s, s, 1 << b, (), 0, True) == "matching endpoints are not configurations"
 
 
@@ -279,7 +280,7 @@ def test_verify_witness_rejects_invalid_matching():
 def test_containment():
     s = seq()
     eng = Engine(s, s, HHP_STRONG)
-    a, b = s.event_index("a"), s.event_index("b")
+    a, b = s.events.index("a"), s.events.index("b")
     empty = (0, (), 0)
     one = (1 << a, ((a, a),), 1 << a)
     two = (s.full_mask, ((a, a), (b, b)), s.full_mask)
@@ -298,16 +299,16 @@ def test_containment_shrinks_the_second_side():
     # matching of the empty set against {t}, which is missing
     left, right = pa(), tau()
     eng = Engine(left, right, HHP_BRANCHING)
-    key = (left.full_mask, ((left.event_index("a"), right.event_index("a")),), right.full_mask)
+    key = (left.full_mask, ((left.events.index("a"), right.events.index("a")),), right.full_mask)
     empty = (0, (), 0)
     assert unclosed(eng, [key], {key, empty}) == {key}
-    assert unclosed(eng, [key], {key, empty, (0, (), 1 << right.event_index("t"))}) == set()
+    assert unclosed(eng, [key], {key, empty, (0, (), 1 << right.events.index("t"))}) == set()
 
 
 def test_containment_needs_pair_subset():
     aa = EventStructure("AA", [("x", "a"), ("y", "a")])
     eng = Engine(aa, aa, HHP_STRONG)
-    x, y = aa.event_index("x"), aa.event_index("y")
+    x, y = aa.events.index("x"), aa.events.index("y")
     cross = (aa.full_mask, ((x, y), (y, x)), aa.full_mask)
     cross_parts = {(1 << x, ((x, y),), 1 << y), (1 << y, ((y, x),), 1 << x), (0, (), 0)}
     identity_parts = {(1 << x, ((x, x),), 1 << x), (1 << y, ((y, y),), 1 << y), (0, (), 0)}
