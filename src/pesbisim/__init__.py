@@ -15,9 +15,11 @@ from .errors import (
 )
 from .games import (
     Arena,
+    Decision,
     GameVerdict,
     Role,
     build_arena,
+    decide,
     game_check,
     solve,
     solve_hereditary,
@@ -37,6 +39,7 @@ __all__ = [
     "BisimulationKind",
     "CapExceededError",
     "Caps",
+    "Decision",
     "EventStructure",
     "Flavor",
     "GameVerdict",
@@ -52,6 +55,7 @@ __all__ = [
     "Verdict",
     "build_arena",
     "check",
+    "decide",
     "enumerate_matchings",
     "format_document",
     "game_check",

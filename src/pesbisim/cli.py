@@ -127,7 +127,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     verdicts: dict[str, Any] = {}
     capped: dict[str, CapExceededError] = {}
-    for name, decide in (("oracle", oracle.check), ("game", games.game_check)):
+    # only --witness reads a strategy, which needs the solved arena
+    game = games.game_check if args.witness else games.decide
+    for name, decide in (("oracle", oracle.check), ("game", game)):
         if args.engine not in (name, "both"):
             continue
         try:
@@ -160,7 +162,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         summary = {
             "kind": "strategy",
             "winner": game_verdict.winner.value,
-            "moves": game_verdict.strategy_size(),
+            "moves": game_verdict.strategy_size() if args.witness else game_verdict.moves,
         }
     else:
         summary = {"kind": "none"}

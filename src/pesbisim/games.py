@@ -11,37 +11,32 @@ in branching mode it may instead absorb an all-silent challenge, defer
 by one silent step of the answering side (dropping the challenge), or,
 for a termination challenge, move the answering side through silent
 events to a terminating configuration.  Configurations only ever grow,
-so arenas are finite DAGs; a player with no move loses.  The builder
-explores positions as plain tuple keys, reads Spoiler's challenges and
-Duplicator's matches from the oracle's ``Engine.challenges`` and
-``Engine.answers``, and works out each row of moves once: a Spoiler
-position and its mirror, the same pair the other way round, share one
-row with the two challenge groups swapped, and pomset and step
-Duplicator positions that agree on the left target, the right
-configuration and the challenge's isomorphism class share their absorb
-and match moves.  The arena numbers its positions as it finds them, and
-the solver works on those ids alone, by backward induction in one
-sweep: every move adds a challenge or an event, so taking positions by
-descending configuration size, challenged ones first, decides every
-successor before its predecessors.  The hereditary flavors judge games
-started at every matching, so their arenas seed a position per valid
-matching; the solver then demotes Duplicator-won positions whose
-matching has a synchronized shrinking with no Duplicator-won
-counterpart to Spoiler-won sinks, and sweeps again with the demoted
-positions preset, until no demotion fires.  A play reaching a demoted
-position ends there; ``play_turn`` decides, for the ``play`` command,
-when a play ends, who wins and what the machine plays:
-``GameVerdict.canonical_move``, which the strategy takes too.  Positions
-are keys, a move is its target's id, its rule read off the keys of its
-two endpoints, plays and strategies are told in position ids and move
-indices, and no object form of any of them exists.
+so arenas are finite DAGs; a player with no move loses.  The hereditary
+flavors judge games started at every matching, so a position is seeded
+per valid matching, and Duplicator-won positions whose matching has a
+synchronized shrinking with no Duplicator-won counterpart are demoted to
+Spoiler-won sinks, round after round, until no demotion fires.
+
+Positions are plain tuple keys, whose moves ``_rows`` reads from the
+oracle's ``Engine``.  ``build_arena`` numbers the positions as it finds
+them, and the solver sweeps them by backward induction, largest
+configurations first.  ``decide``, which ``check`` runs unless a witness
+is asked for, finds the same winner and strategy size on Spoiler
+positions alone: a position and its mirror (the same pair the other way
+round) are one node, and each Duplicator position is a row of the nodes
+its moves lead to.  ``play_turn`` decides, for the ``play`` command, when
+a play ends (a demoted position ends it), who wins and what the machine
+plays, the canonical move.  A move is its target's id, its rule read off
+the keys of its two endpoints; plays and strategies are told in position
+ids and move indices, and no object form of any of them exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import islice, takewhile
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ArenaCycleError, CapExceededError, ValidationError
 from .kinds import BisimulationKind, Flavor
@@ -209,6 +204,63 @@ class GameVerdict:
         return [(i, move(i)) for i in self._strategy_ids()]
 
 
+def _rows(eng: Engine, number: Callable[[list[Key]], tuple[int, ...]]):
+    """challenge lists the Duplicator keys of a Spoiler position's moves, left
+    side first; answer numbers the Spoiler keys of each Duplicator key's
+    moves.  Pomset and step rows that agree on orientation, left target,
+    right configuration and challenge class share absorb and match moves."""
+    branching, iso_answers = eng.branching, eng.iso_answers
+    challenges, answers, iso_class = eng.challenges, eng.answers, eng.iso_class
+    sides = ((1, 2, eng.es1, eng.es2), (2, 1, eng.es2, eng.es1))  # by swapped
+    matched: dict[tuple[bool, int, int, int], tuple[int, ...]] = {}
+
+    def challenge(sw: bool, left: int, right: int, pairs: Pairs | None) -> list[Key]:
+        sl, sr, es_l, es_r = sides[sw]
+        targets = [(sw, left, right, pairs, x) for x, _ in challenges(sl, left)]
+        targets += [(not sw, right, left, pairs, y) for y, _ in challenges(sr, right)]
+        if branching and (ends := es_l.terminates_mask(left)) != es_r.terminates_mask(right):
+            turned = (sw, left, right) if ends else (not sw, right, left)
+            targets.append((*turned, pairs, 0))
+        return targets
+
+    def answer(keys: Sequence[Key]) -> list[tuple[int, ...]]:
+        rows = []
+        for sw, left, right, pairs, ch in keys:
+            sl, sr, es_l, es_r = sides[sw]
+            if not ch:  # the termination challenge
+                ends = [m0 for m0 in es_r.tau_reachable_masks(right) if es_r.terminates_mask(m0)]
+                rows.append(number([(sw, left, m0, pairs, None) for m0 in ends if m0 != right]))
+                continue
+            target = left | ch
+            # hp and hhp answers extend the pairs, so only pomset and step rows are shared
+            cid = None if pairs is not None else iso_class(sl, ch)
+            shared = None if cid is None else (sw, target, right, cid)
+            out = matched.get(shared)
+            if out is None:
+                absorb = branching and not ch & ~es_l.silent_mask
+                targets = [(sw, target, right, pairs, None)] if absorb else []
+                replies = iso_answers(sr, cid, right) if shared else answers(sl, ch, pairs, right)
+                targets += [(sw, target, t, p, None) for t, p in replies]
+                out = number(targets)
+                if shared is not None:
+                    matched[shared] = out
+            if branching and (silent := es_r.silent_mask & ~right):
+                steps = [right | 1 << e for e in es_r.enabled(right) if silent >> e & 1]
+                out += number([(sw, left, r, pairs, None) for r in steps])
+            rows.append(out)
+        return rows
+
+    return challenge, answer
+
+
+def _start(eng: Engine) -> list[Key]:
+    """The initial position, and for hhp one per valid triple, under the caps."""
+    eng.es1.configurations(), eng.es2.configurations()
+    if eng.kind.flavor is Flavor.HHP:  # the sorted universe starts with the empty triple
+        return [(False, m1, m2, prs, None) for m1, prs, m2 in triple_universe(eng)]
+    return [(False, 0, 0, () if eng.posetal else None, None)]
+
+
 def build_arena(
     es1: EventStructure,
     es2: EventStructure,
@@ -216,26 +268,11 @@ def build_arena(
     *,
     strong_tau_erasure: bool = False,
 ) -> Arena:
-    """Breadth-first arena construction from the empty-configurations
-    position, with deterministic move order.  A Spoiler row is its
-    mirror's with the two challenge groups swapped when the mirror came
-    first, and pomset and step Duplicator rows share their absorb and
-    match moves through a table keyed by orientation, left target, right
-    configuration and challenge class, each adding its own silent steps."""
+    """Breadth-first arena construction, with the rows of _rows."""
     eng = Engine(es1, es2, kind, strong_tau_erasure)
-    es1.configurations(), es2.configurations()  # the configurations cap applies
-    branching, es, iso_answers = eng.branching, eng.es, eng.iso_answers
-    challenges, answers, iso_class = eng.challenges, eng.answers, eng.iso_class
-    keys: list[Key] = [(False, 0, 0, () if kind.posetal else None, None)]
-    # The hereditary flavors judge games started at every matching, not just
-    # those reachable from the empty one, so each valid triple is a position.
-    # triple_universe enforces the positions cap on these.
-    if kind.flavor is Flavor.HHP:
-        keys += [(False, m1, m2, prs, None) for m1, prs, m2 in triple_universe(eng)]
-    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    keys = list(index)
+    keys = _start(eng)
+    index = {key: i for i, key in enumerate(keys)}
     succ: list[tuple[int, ...]] = []
-    matched: dict[tuple[bool, int, int, int], tuple[int, ...]] = {}
     limit = eng.caps.max_positions
 
     def number(targets: list[Key]) -> tuple[int, ...]:
@@ -252,78 +289,42 @@ def build_arena(
             ids.append(i)
         return tuple(ids)
 
+    challenge, answer = _rows(eng, number)
     # keys is the queue: the loop also visits the positions appended to it
     for i, (sw, left, right, pairs, ch) in enumerate(keys):
-        sl, sr = (2, 1) if sw else (1, 2)
-        es_l, es_r = es[sl], es[sr]
         if ch is None:
-            m = index.get((not sw, right, left, pairs, None), i)
-            lefts, rights = challenges(sl, left), challenges(sr, right)
-            if m < i:
-                # the mirror's row took the right side's challenges first
-                out, k, n = succ[m], len(rights), len(rights) + len(lefts)
-                succ.append(out[k:n] + out[:k] + out[n:])
-                continue
-            targets = [(sw, left, right, pairs, x) for x, _ in lefts]
-            targets += [(not sw, right, left, pairs, y) for y, _ in rights]
-            if branching and (ends := es_l.terminates_mask(left)) != es_r.terminates_mask(right):
-                # the side that terminates alone is challenged, as the left one
-                turned = (sw, left, right) if ends else (not sw, right, left)
-                targets.append((*turned, pairs, 0))
-            succ.append(number(targets))
-            continue
-        if ch == 0:  # the termination challenge
-            targets = [
-                (sw, left, m0, pairs, None)
-                for m0 in es_r.tau_reachable_masks(right)
-                if m0 != right and es_r.terminates_mask(m0)
-            ]
-            succ.append(number(targets))
-            continue
-        target = left | ch
-        # hp and hhp answers extend the pairs, so only pomset and step rows are shared
-        shared = None if pairs is not None else (sw, target, right, iso_class(sl, ch))
-        out = matched.get(shared)
-        if out is None:
-            absorb = branching and not ch & ~es_l.silent_mask
-            targets = [(sw, target, right, pairs, None)] if absorb else []
-            replies = iso_answers(sr, shared[3], right) if shared else answers(sl, ch, pairs, right)
-            targets += [(sw, target, t, p, None) for t, p in replies]
-            out = number(targets)
-            if shared is not None:
-                matched[shared] = out
-        if branching and (silent := es_r.silent_mask & ~right):
-            steps = [right | 1 << e for e in es_r.enabled(right) if silent >> e & 1]
-            out += number([(sw, left, r, pairs, None) for r in steps])
-        succ.append(out)
+            succ.append(number(challenge(sw, left, right, pairs)))
+        elif i == len(succ):  # the first of a run of Duplicator positions answers the run
+            run = takewhile(lambda key: key[4] is not None, islice(keys, i, None))
+            succ += answer(list(run))
     return Arena(eng, keys, succ)
 
 
+def _by_rank(es1: EventStructure, es2: EventStructure, keys: Sequence[Key]) -> list[list[int]]:
+    """The ids of the keys per rank, 2 * |configurations| + (1 if
+    challenged), which every move raises."""
+    ranks: list[list[int]] = [[] for _ in range(2 * (len(es1.events) + len(es2.events)) + 2)]
+    for i, (_, left, right, _, ch) in enumerate(keys):
+        ranks[2 * (left.bit_count() + right.bit_count()) + (ch is not None)].append(i)
+    return ranks
+
+
 def _sweep(arena: Arena, demoted: Iterable[int] = ()) -> list[Role]:
-    """Backward induction in one sweep over the arena, by position id, with
-    the demoted positions preset as Spoiler-won sinks.  Every move adds a
-    challenge or an event, and every Duplicator move also drops the
-    challenge, so 2 * |configurations| + (1 if challenged) grows along
-    each move, and taking positions by that rank, largest first, reaches
-    every successor before its predecessors.  A position goes to its owner
-    if some successor was won by its owner, else to the other player, so a
-    player with no move loses."""
-    keys, succ = arena.keys, arena.succ
-    spoiler, duplicator = Role.SPOILER, Role.DUPLICATOR
-    win: list[Role | None] = [None] * len(keys)
+    """Backward induction by rank, largest first, the demoted positions preset
+    as Spoiler-won sinks: a position goes to its owner (Duplicator at odd
+    ranks) if some successor was won by its owner, else to the other."""
+    succ = arena.succ
+    win: list[Role | None] = [None] * len(arena.keys)
     for i in demoted:
-        win[i] = spoiler
-    rank = [
-        2 * (left.bit_count() + right.bit_count()) + (ch is not None)
-        for _, left, right, _, ch in keys
-    ]
-    for i in sorted(range(len(keys)), key=rank.__getitem__, reverse=True):
-        if win[i] is None:
-            results = [win[j] for j in succ[i]]
-            if None in results:
-                raise ArenaCycleError("a move leads to a position the sweep has not decided")
-            owner = spoiler if keys[i][4] is None else duplicator
-            win[i] = owner if owner in results else owner.other()
+        win[i] = Role.SPOILER
+    for rank, ids in reversed(list(enumerate(_by_rank(arena.es1, arena.es2, arena.keys)))):
+        owner = Role.DUPLICATOR if rank & 1 else Role.SPOILER
+        for i in ids:
+            if win[i] is None:
+                results = [win[j] for j in succ[i]]
+                if None in results:
+                    raise ArenaCycleError("a move leads to a position the sweep has not decided")
+                win[i] = owner if owner in results else owner.other()
     return win
 
 
@@ -368,6 +369,78 @@ def game_check(
     """Decide equivalence by building and solving the game arena."""
     arena = build_arena(es1, es2, kind, strong_tau_erasure=strong_tau_erasure)
     return solve_hereditary(arena) if kind.flavor is Flavor.HHP else solve(arena)
+
+
+class Decision(NamedTuple):
+    """What decide finds: the winner, and GameVerdict.strategy_size()."""
+
+    winner: Role
+    moves: int
+
+    @property
+    def equivalent(self) -> bool:
+        return self.winner is Role.DUPLICATOR
+
+
+def decide(
+    es1: EventStructure,
+    es2: EventStructure,
+    kind: BisimulationKind,
+    *,
+    strong_tau_erasure: bool = False,
+) -> Decision:
+    """game_check's winner and strategy size, without building the arena:
+    each node is a Spoiler position with its mirror, and each of its rows
+    a Duplicator position, as the nodes its moves lead to; a node is
+    Spoiler-won when all the nodes of one of its rows are.  The positions
+    cap applies to the positions of the arena."""
+    eng = Engine(es1, es2, kind, strong_tau_erasure)
+    limit = eng.caps.max_positions
+    index: dict[Key, int] = {}  # each Spoiler key to its node
+    nodes: list[Key] = []  # each node's first key
+    rows: list[list[tuple[int, ...]]] = []  # each node's rows
+
+    def number(targets: list[Key]) -> tuple[int, ...]:
+        """The nodes of the targets, adding each new one."""
+        ids = []
+        for target in targets:
+            t = index.get(target)
+            if t is None:
+                sw, left, right, pairs, _ = target
+                t = index[target] = index.get((not sw, right, left, pairs, None), len(nodes))
+                if t == len(nodes):
+                    nodes.append(target)
+            ids.append(t)
+        return tuple(ids)
+
+    challenge, answer = _rows(eng, number)
+    number(_start(eng))
+    duplicators = 0
+    for sw, left, right, pairs, _ in nodes:  # nodes is the queue
+        row = challenge(sw, left, right, pairs)
+        rows.append(answer(row))
+        duplicators += len(row)
+        if len(index) + duplicators > limit:
+            raise CapExceededError("positions", limit, limit + 1)
+    ranks = _by_rank(es1, es2, nodes)
+    demoted: set[int] = set()
+    while True:  # for hhp, sweep again after each round of demotions
+        lost = set(demoted)  # the Spoiler-won nodes
+        for rank in reversed(ranks):
+            lost.update([t for t in rank if any(map(lost.issuperset, rows[t]))])
+        if kind.flavor is not Flavor.HHP:
+            break
+        triples = [(r, pairs, l) if sw else (l, pairs, r) for sw, l, r, pairs, _ in nodes]
+        won = {triple: t for t, triple in enumerate(triples) if t not in lost}
+        if not (broken := unclosed(eng, won.keys(), won.keys())):
+            break
+        demoted.update(won[triple] for triple in broken)
+    if 0 in lost:  # the Spoiler positions of Spoiler-won, undemoted nodes
+        kept = lost - demoted
+        return Decision(Role.SPOILER, sum(map(kept.__contains__, index.values())))
+    # every Duplicator position, less those whose moves all lead to Spoiler-won nodes
+    lost_rows = sum(sum(map(lost.issuperset, rows[t])) for t in lost)
+    return Decision(Role.DUPLICATOR, sum(map(len, rows)) - lost_rows)
 
 
 ENDINGS = {

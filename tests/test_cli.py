@@ -193,6 +193,61 @@ def test_cap_message_names_the_engine_under_both(options, err, capsys):
     assert run_main(capsys, argv + [fx("choice3.pes"), fx("chain.pes")]) == (3, "", err)
 
 
+def test_long_chains_decide_without_deep_recursion(tmp_path, capsys):
+    # each move of the game adds an event: a 600-event chain makes plays of 1,200 moves
+    files = []
+    for side in "LR":
+        path = tmp_path / f"{side}.pes"
+        events = "".join(f"event {side}{i} : a\n" for i in range(600))
+        causes = "".join(f"cause {side}{i} < {side}{i + 1}\n" for i in range(599))
+        path.write_text(f"pes {side}\n{events}{causes}")
+        files.append(str(path))
+    for rel in ("hp", "hhp"):
+        argv = ["check", "--rel", rel, "--mode", "strong", "--engine", "game"]
+        code, out, _ = run_main(capsys, argv + ["--max-events", "600", *files])
+        assert (code, out.splitlines()[1]) == (0, "duplicator wins with a strategy of 1200 moves")
+
+
+class ArenaBuilt(Exception):
+    pass
+
+
+def test_check_builds_an_arena_only_for_a_witness(capsys, monkeypatch):
+    """Without --witness, check takes the winner and the strategy size
+    from games.decide and builds no arena; --witness names the strategy's
+    positions, which takes the solved arena."""
+    import pesbisim.cli as cli_mod
+
+    runs = [
+        ["--rel", "pomset", "--mode", "strong", fx("par.pes"), fx("ch.pes")],
+        ["--rel", "hp", "--mode", "branching", fx("tau.pes"), fx("pa.pes")],
+        ["--rel", "hhp", "--mode", "strong", fx("choice3.pes"), fx("chain.pes")],
+        ["--rel", "step", "--mode", "branching", fx("ch.pes"), fx("halt_early.pes")],
+    ]
+    reports = {}  # as the solved arena gives them: the --witness reports, less the witness
+    for engine in ("game", "both"):
+        for run in runs:
+            argv = ["check", "--json", "--witness", "--engine", engine, *run]
+            report = json.loads(run_main(capsys, argv)[1])
+            del report["witness"]
+            reports[engine, run[1]] = report | {"elapsed_ms": 0}
+
+    def refuse(*args, **kwargs):
+        raise ArenaBuilt
+
+    monkeypatch.setattr(cli_mod.games, "build_arena", refuse)
+    for engine in ("game", "both"):
+        for run in runs:
+            code, out, _ = run_main(capsys, ["check", "--json", "--engine", engine, *run])
+            assert json.loads(out) | {"elapsed_ms": 0} == reports[engine, run[1]]
+        code, out, _ = run_main(capsys, ["check", "--engine", engine, *runs[0]])
+        assert (code, out) == (1, (GOLDEN_DIR / "check_par_ch_pomset_strong.txt").read_text())
+        with pytest.raises(ArenaBuilt):
+            main(["check", "--witness", "--engine", engine, *runs[0]])
+    # README's JSON report, of the default engine both, builds no arena either
+    test_readme_json_report_is_what_the_cli_prints(capsys)
+
+
 @pytest.mark.parametrize(
     "option, value, code",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from graphlib import TopologicalSorter
 
 import pytest
@@ -11,6 +12,7 @@ from pesbisim import (
     ALL_KINDS,
     ArenaCycleError,
     BisimulationKind,
+    CapExceededError,
     EventStructure,
     Flavor,
     Mode,
@@ -21,6 +23,7 @@ from pesbisim.games import (
     Arena,
     Role,
     build_arena,
+    decide,
     game_check,
     solve,
     solve_hereditary,
@@ -31,6 +34,7 @@ import reference
 from conftest import (
     absorb2,
     absorb3,
+    apart_by_termination,
     ch,
     chain,
     choice3,
@@ -46,6 +50,9 @@ from conftest import (
     random_es,
     random_pairs,
     seq,
+    tau,
+    tau_par,
+    twin_rich_pairs,
 )
 
 POMSET_STRONG = BisimulationKind(Flavor.POMSET, Mode.STRONG)
@@ -365,3 +372,64 @@ def test_solver_matches_reference(pairs):
             assert verdict.strategy_moves() == [
                 (i, k) for i, k in sorted(strategy.items()) if winner[i] is winner[0]
             ]
+
+
+# ----------------------------------------------------------------------
+# decide: the winner and the strategy size, from Spoiler positions alone
+
+DECIDE_PAIRS = (
+    [pair[::d] for pair in fixture_pairs() + [apart_by_termination()] for d in (1, -1)]
+    + twin_rich_pairs(4)
+    + random_pairs(91, 40)
+    + random_pairs(95, 30, tau_prob=0.5, termination=True)
+    + random_pairs(44, 80, max_events=5, alphabet="a")
+    + [
+        (
+            _concurrent_a("L", 5, [(0, 3), (1, 2), (2, 4), (3, 4)]),
+            _concurrent_a("R", 4, [(0, 2), (0, 3)]),
+        )
+    ]
+)
+
+
+def test_decide_matches_game_check():
+    """decide reads off the game what check reports, the winner and the
+    strategy size, as game_check's solved arena gives them, in every kind
+    and with strong_tau_erasure where it acts."""
+    demoting = 0
+    for es1, es2 in DECIDE_PAIRS:
+        for kind in ALL_KINDS:
+            erasing = kind.mode is Mode.STRONG and not kind.posetal
+            for erase in (False, True) if erasing else (False,):
+                verdict = game_check(es1, es2, kind, strong_tau_erasure=erase)
+                got = decide(es1, es2, kind, strong_tau_erasure=erase)
+                case = (es1.name, es2.name, str(kind), erase)
+                assert got == (verdict.winner, verdict.strategy_size()), case
+                assert got.equivalent is verdict.equivalent, case
+                demoting += bool(verdict.demoted_ids)
+    assert demoting > 40
+
+
+def test_decide_counts_every_arena_position():
+    """The positions cap bounds the positions of the arena that decide
+    stands for: a cap of exactly that many decides, one fewer raises as
+    build_arena does."""
+    cases = [
+        (choice3(), chain(), HHP_STRONG),
+        (par(), ch(), POMSET_STRONG),
+        (tau_par(), tau(), BisimulationKind(Flavor.STEP, Mode.BRANCHING)),
+        (pa(), pa_noterm(), BisimulationKind(Flavor.HP, Mode.BRANCHING)),
+    ]
+    for es1, es2, kind in cases:
+        verdict = game_check(es1, es2, kind)
+        size = len(verdict.arena.keys)
+        for limit in (size, size - 1):
+            for es in (es1, es2):
+                es.caps = replace(es.caps, max_positions=limit)
+            if limit == size:
+                assert decide(es1, es2, kind) == (verdict.winner, verdict.strategy_size())
+                continue
+            for run in (decide, game_check):
+                with pytest.raises(CapExceededError) as exc:
+                    run(es1, es2, kind)
+                assert (exc.value.limit, exc.value.actual) == (size - 1, size)
